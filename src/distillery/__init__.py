@@ -6,6 +6,7 @@ from .densop import (
     UnitaryOp,
     apply_unitary,
     bell_fidelity,
+    bell_pairs_on,
     bell_state,
     expectation,
     partial_trace,
@@ -29,23 +30,23 @@ from .circuit import (
     Delay,
     Gate,
     Measure,
-    NoisyExecutionConfig,
     NothingAcceptedError,
     execute_exact,
     postselect,
+    with_gate_noise,
 )
 from .protocols import (
-    DistillOutcome,
+    Outcome,
     ProtocolSpec,
     build_x2b,
     build_z2b,
     build_zx3b,
+    distill_executed,
     general_distill,
     get_protocol,
     run_protocol,
 )
 from .analytic import (
-    AnalyticResult,
     enumerate_accepted,
     enumerate_protocol,
     global_depol_distill,

@@ -21,21 +21,10 @@ import numpy as np
 from .channels import PauliChannelParams
 from .circuit import Gate, Measure
 from .pauli import PauliString, UnsupportedProtocolError, conjugate_through, multiply_letters
-from .protocols import ProtocolSpec, get_protocol
+from .protocols import Outcome, ProtocolSpec, get_protocol
 
 
-@dataclass(frozen=True)
-class AnalyticResult:
-    fidelity_before: float
-    fidelity_after: float
-    acceptance_prob: float
-
-    @property
-    def ratio(self) -> float:
-        return self.fidelity_after / self.fidelity_before
-
-
-def recurrence_bitflip(p: float, q: float) -> AnalyticResult:
+def recurrence_bitflip(p: float, q: float) -> Outcome:
     """Two-pair parity check on pairs with one-sided bit flips p and q."""
     for name, v in (("p", p), ("q", q)):
         if not 0.0 <= v <= 0.5:
@@ -43,10 +32,10 @@ def recurrence_bitflip(p: float, q: float) -> AnalyticResult:
     p_s = (1 - p) * (1 - q) + p * q
     f_b = max(1 - p, 1 - q)
     f_a = (1 - p) * (1 - q) / p_s
-    return AnalyticResult(f_b, f_a, p_s)
+    return Outcome(f_b, f_a, p_s)
 
 
-def z2b_local_depol(p: float, q: float) -> AnalyticResult:
+def z2b_local_depol(p: float, q: float) -> Outcome:
     """Two-pair parity check on pairs with one-sided depolarizing p and q."""
     for name, v in (("p", p), ("q", q)):
         if not 0.0 <= v <= 1.0:
@@ -54,10 +43,10 @@ def z2b_local_depol(p: float, q: float) -> AnalyticResult:
     p_s = (1 - 2 * p / 3) * (1 - 2 * q / 3) + 4 * p * q / 9
     f_b = max(1 - p, 1 - q)
     f_a = ((1 - p) * (1 - q) + p * q / 9) / p_s
-    return AnalyticResult(f_b, f_a, p_s)
+    return Outcome(f_b, f_a, p_s)
 
 
-def zx3b_local_depol(p: float, q: float) -> AnalyticResult:
+def zx3b_local_depol(p: float, q: float) -> Outcome:
     """Three-pair double check; pairs one and three share p, pair two has q."""
     for name, v in (("p", p), ("q", q)):
         if not 0.0 <= v <= 1.0:
@@ -65,21 +54,10 @@ def zx3b_local_depol(p: float, q: float) -> AnalyticResult:
     p_s = p**2 / 9 * (8 - 32 / 3 * q) + p / 3 * (20 / 3 * q - 5) + 1 - q
     f_b = max(1 - p, 1 - q)
     f_a = (p**2 * (1 - 28 / 27 * q) + p * (19 / 9 * q - 2) + 1 - q) / p_s
-    return AnalyticResult(f_b, f_a, p_s)
+    return Outcome(f_b, f_a, p_s)
 
 
-@dataclass(frozen=True)
-class GlobalDepolResult:
-    acceptance_prob: float
-    fidelity_after: float
-    fidelity_before: float
-
-    @property
-    def ratio(self) -> float:
-        return self.fidelity_after / self.fidelity_before
-
-
-def global_depol_distill(protocol: str, lam: float) -> GlobalDepolResult:
+def global_depol_distill(protocol: str, lam: float) -> Outcome:
     """Distillation of perfect pairs degraded by n-pair global depolarizing.
 
     With perfect inputs the projector formalism gives acceptance
@@ -99,7 +77,7 @@ def global_depol_distill(protocol: str, lam: float) -> GlobalDepolResult:
     p_g = (1 - lam) + lam / 2 ** (n_pairs - 1)
     f_g = ((1 - lam) + lam / 2 ** (n_pairs + 1)) / p_g
     f_b = 1 - 3 * lam / 4
-    return GlobalDepolResult(p_g, f_g, f_b)
+    return Outcome(f_b, f_g, p_g)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +268,6 @@ def improvement_region(
         for q in grid.axis(grid.q_max):
             res = fn(float(p), float(q))
             total += 1
-            if res.fidelity_after > res.fidelity_before:
+            if res.f_after > res.f_before:
                 hits += 1
     return hits / total

@@ -2,10 +2,10 @@
 
 Execution is exact and deterministic: after every measurement the state
 splits into outcome branches carried with their joint probabilities, so
-post-selection reduces to summing branches. Two-qubit gates optionally pick
-up a trailing two-qubit global depolarizing channel and measurements a
-preceding bit flip, which models a circuit whose only imperfect components
-are entangling gates and readout.
+post-selection reduces to summing branches. Gate noise is part of the
+circuit: :func:`with_gate_noise` follows each two-qubit gate with an explicit
+two-qubit global depolarizing channel. Readout noise is the executor's one
+knob: a bit flip on each measurement outcome.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from .channels import (
     GlobalDepolarizingChannel,
     KrausChannel,
     apply_channel_matrix,
-    apply_global_depolarizing_matrix,
-    damping_dephasing,
-    gp_from_t1t2,
 )
 from .channels import Channel as NoiseChannel
 from .densop import (
@@ -124,28 +121,26 @@ class Barrier:
 CircuitElement = Union[Gate, ChannelOp, Delay, Measure, Barrier]
 
 
-@dataclass(frozen=True)
-class NoisyExecutionConfig:
-    """Two-qubit gate error g, measurement bit-flip m, and enable switches.
+def with_gate_noise(
+    circuit: Sequence[CircuitElement], gate_error: Callable[[int, int], float]
+) -> list[CircuitElement]:
+    """The circuit with a global depolarizing channel after each two-qubit gate.
 
-    ``t1t2`` optionally maps qubit index to (T1, T2) in microseconds so Delay
-    elements decay idle qubits; with no map, delays are pure timing markers.
+    ``gate_error(a, b)`` gives the channel strength for a gate on qubits
+    (a, b); gates whose strength is 0 stay noiseless, and a strength outside
+    [0, 1] raises ValueError. Gates on the same targets share one channel.
     """
-
-    gate_error: float = 0.0
-    meas_error: float = 0.0
-    gate_noise_enabled: bool = True
-    meas_noise_enabled: bool = True
-    t1t2: Mapping[int, tuple[float, float]] | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.gate_error <= 1.0:
-            raise ValueError(f"gate error must be in [0, 1], got {self.gate_error}")
-        if not 0.0 <= self.meas_error <= 1.0:
-            raise ValueError(f"measurement error must be in [0, 1], got {self.meas_error}")
-
-
-NOISELESS = NoisyExecutionConfig()
+    out: list[CircuitElement] = []
+    noise: dict[tuple[int, ...], list[CircuitElement]] = {}
+    for el in circuit:
+        out.append(el)
+        if isinstance(el, Gate) and len(el.targets) == 2:
+            if el.targets not in noise:
+                g = gate_error(*el.targets)
+                channel = ChannelOp(GlobalDepolarizingChannel(el.targets, g))
+                noise[el.targets] = [channel] if g != 0.0 else []
+            out.extend(noise[el.targets])
+    return out
 
 
 @dataclass(frozen=True)
@@ -238,21 +233,20 @@ def _project(rho: np.ndarray, qubit: int, outcome: int, n: int) -> np.ndarray:
 def execute_exact(
     circuit: Sequence[CircuitElement],
     init: DensityOperator,
-    cfg: NoisyExecutionConfig = NOISELESS,
+    meas_error: float = 0.0,
 ) -> ExecutionResult:
     """Run a circuit, branching deterministically on every measurement.
 
-    Single-qubit gates are ideal. When enabled, each two-qubit gate is
-    followed by a two-qubit global depolarizing channel of strength
-    ``cfg.gate_error`` and each measurement is preceded by a bit flip of
-    probability ``cfg.meas_error``. Branch probabilities always sum to one;
+    Gates are ideal; noise comes from the circuit's channels. Each outcome
+    flips with probability ``meas_error``, applied after the basis rotation.
+    Delays are timing markers. Branch probabilities always sum to one;
     zero-probability branches are carried, never divided by.
     """
+    if not 0.0 <= meas_error <= 1.0:
+        raise ValueError(f"measurement error must be in [0, 1], got {meas_error}")
     n = init.n_qubits
     _validate_circuit(circuit, n)
     cache = _EmbedCache(n)
-    gate_g = cfg.gate_error if cfg.gate_noise_enabled else 0.0
-    meas_m = cfg.meas_error if cfg.meas_noise_enabled else 0.0
 
     branches: list[tuple[tuple[int, ...], np.ndarray]] = [((), init.matrix.copy())]
     labels: list[str] = []
@@ -263,20 +257,8 @@ def execute_exact(
             full = cache.gate(el)
             full_dag = full.conj().T
             branches = [(o, full @ m @ full_dag) for o, m in branches]
-            if gate_g > 0.0 and len(el.targets) == 2:
-                branches = [
-                    (o, apply_global_depolarizing_matrix(m, gate_g, el.targets, n))
-                    for o, m in branches
-                ]
         elif isinstance(el, ChannelOp):
             branches = [(o, apply_channel_matrix(m, el.channel, n)) for o, m in branches]
-        elif isinstance(el, Delay):
-            if el.duration > 0 and cfg.t1t2:
-                for q in el.qubits:
-                    if q in cfg.t1t2:
-                        t1, t2 = cfg.t1t2[q]
-                        ch = damping_dephasing(gp_from_t1t2(el.duration, t1, t2), q)
-                        branches = [(o, apply_channel_matrix(m, ch, n)) for o, m in branches]
         elif isinstance(el, Barrier):
             if el.label:
                 total = sum(m for _, m in branches)
@@ -288,14 +270,14 @@ def execute_exact(
             if rot is not None:
                 rot_full = cache.get(("basis", el.basis, el.qubit), rot, (el.qubit,))
             x_full = None
-            if meas_m > 0.0:
+            if meas_error > 0.0:
                 x_full = cache.get(("x", el.qubit), PAULI_X, (el.qubit,))
             new_branches = []
             for o, m in branches:
                 if rot_full is not None:
                     m = rot_full @ m @ rot_full.conj().T
                 if x_full is not None:
-                    m = (1 - meas_m) * m + meas_m * (x_full @ m @ x_full)
+                    m = (1 - meas_error) * m + meas_error * (x_full @ m @ x_full)
                 for outcome in (0, 1):
                     new_branches.append((o + (outcome,), _project(m, el.qubit, outcome, n)))
             branches = new_branches

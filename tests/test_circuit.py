@@ -11,13 +11,13 @@ from distillery.circuit import (
     Delay,
     Gate,
     Measure,
-    NoisyExecutionConfig,
     NothingAcceptedError,
     circuit_from_json,
     circuit_to_json,
     execute_exact,
     parity_agreement,
     postselect,
+    with_gate_noise,
 )
 from distillery.densop import DensityOperator, bell_state
 from distillery.pauli import PauliString, conjugate_through
@@ -43,27 +43,30 @@ def test_bell_prep_and_measure_outcomes():
     assert probs[(1, 0)] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_measurement_error_changes_agreement_probability():
-    circuit = BELL_PREP + [Measure(0, "Z", "a"), Measure(1, "Z", "b")]
-    cfg = NoisyExecutionConfig(meas_error=0.1)
-    result = execute_exact(circuit, ground(2), cfg)
+@pytest.mark.parametrize("basis", ["Z", "X", "Y"])
+def test_measurement_error_changes_agreement_probability(basis):
+    circuit = BELL_PREP + [Measure(0, basis, "a"), Measure(1, basis, "b")]
+    result = execute_exact(circuit, ground(2), meas_error=0.1)
     probs = result.record.joint_probabilities
-    # both flips or neither: 0.9^2 + 0.1^2
-    assert probs[(0, 0)] + probs[(1, 1)] == pytest.approx(0.82, abs=1e-12)
+    agree = probs[(0, 0)] + probs[(1, 1)]
+    # Bell |Phi+> outcomes agree in Z and X and disagree in Y; the readout
+    # flip acts on the outcome in every basis, so the noiseless correlation
+    # survives both flips or neither: 0.9^2 + 0.1^2
+    assert (agree if basis != "Y" else 1 - agree) == pytest.approx(0.82, abs=1e-12)
 
 
 def test_gate_noise_on_cnot():
     g = 0.23
-    circuit = [Gate("CNOT", (0, 1))]
-    result = execute_exact(circuit, ground(2), NoisyExecutionConfig(gate_error=g))
+    circuit = with_gate_noise([Gate("CNOT", (0, 1))], lambda a, b: g)
+    result = execute_exact(circuit, ground(2))
     out = result.unconditional_state().matrix
     fid = float(np.real(out[0, 0]))
     assert fid == pytest.approx((1 - g) + g / 4, abs=1e-12)
 
 
 def test_single_qubit_gates_are_noiseless():
-    circuit = [Gate("H", (0,)), Gate("H", (0,))]
-    result = execute_exact(circuit, ground(1), NoisyExecutionConfig(gate_error=0.5))
+    circuit = with_gate_noise([Gate("H", (0,)), Gate("H", (0,))], lambda a, b: 0.5)
+    result = execute_exact(circuit, ground(1))
     np.testing.assert_allclose(result.unconditional_state().matrix, ground(1).matrix, atol=1e-12)
 
 
@@ -74,8 +77,8 @@ def test_branch_probabilities_sum_to_one(rng):
         Measure(1, "Z", "b"),
         Measure(2, "Y", "c"),
     ]
-    cfg = NoisyExecutionConfig(gate_error=0.07, meas_error=0.04)
-    result = execute_exact(circuit, random_density(rng, 3), cfg)
+    circuit = with_gate_noise(circuit, lambda a, b: 0.07)
+    result = execute_exact(circuit, random_density(rng, 3), meas_error=0.04)
     total = sum(b.probability for b in result.branches)
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -227,11 +230,3 @@ def test_circuit_json_round_trip(rng):
         assert b1.outcomes == b2.outcomes
         np.testing.assert_allclose(b1.weighted_matrix, b2.weighted_matrix, atol=1e-12)
 
-
-def test_delay_applies_damping_when_times_known():
-    cfg = NoisyExecutionConfig(t1t2={0: (100.0, 100.0)})
-    circuit = [Gate("H", (0,)), Delay(50.0, (0,))]
-    result = execute_exact(circuit, ground(1), cfg)
-    out = result.unconditional_state().matrix
-    # off-diagonal shrinks by exp(-t/T2)
-    assert abs(out[0, 1]) == pytest.approx(0.5 * np.exp(-0.5), abs=1e-12)

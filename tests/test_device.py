@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from distillery.channels import channel_superoperator, damping_dephasing, gp_from_t1t2
-from distillery.circuit import ChannelOp, NOISELESS, execute_exact
+from distillery.circuit import ChannelOp, execute_exact
 from distillery.densop import DensityOperator, bell_pairs_on, cphase_matrix, embed_on_qubits
 from distillery.device import (
     CalibrationError,
@@ -111,7 +111,7 @@ def test_pure_zz_with_staggered_echo_cancels_exactly():
         for n_seg in (4, 16, 32):
             spec = IdleSpec(duration_us=duration, n_segments=n_seg, dd_mode="staggered", zz_enabled=True)
             seq = idle_sequence([0, 1, 2, 3], spec, calib, include_damping=False)
-            out = execute_exact(seq, init, NOISELESS).unconditional_state()
+            out = execute_exact(seq, init).unconditional_state()
             assert np.max(np.abs(out.matrix - init.matrix)) < 1e-8
 
 
@@ -122,7 +122,7 @@ def test_pure_zz_without_echo_matches_brute_force():
     init = DensityOperator(2, bell_pairs_on([(0, 1)], 2))
     spec = IdleSpec(duration_us=duration, n_segments=16, dd_mode="none", zz_enabled=True)
     seq = idle_sequence([0, 1], spec, calib, include_damping=False)
-    out = execute_exact(seq, init, NOISELESS).unconditional_state()
+    out = execute_exact(seq, init).unconditional_state()
     theta = 2 * math.pi * rate * duration * 1e-6
     u = cphase_matrix(theta)
     expected = u @ init.matrix @ u.conj().T
@@ -219,6 +219,6 @@ def test_twirl_points_track_global_depolarizing_theory():
         lams.append(lam)
         theory = global_depol_distill("z2b", lam)
         assert pt.ratio == pytest.approx(theory.ratio, abs=0.03)
-        assert pt.p_accept == pytest.approx(theory.acceptance_prob, abs=0.03)
+        assert pt.p_accept == pytest.approx(theory.p_accept, abs=0.03)
     # the fitted depolarizing strength grows with the layer count
     assert all(b > a for a, b in zip(lams, lams[1:]))

@@ -34,7 +34,7 @@ def test_perfect_inputs_always_accepted(builder):
     out = run_protocol(builder())
     assert out.p_accept == pytest.approx(1.0, abs=1e-12)
     assert out.f_after == pytest.approx(1.0, abs=1e-12)
-    assert out.f_before_max == pytest.approx(1.0, abs=1e-12)
+    assert out.f_before == pytest.approx(1.0, abs=1e-12)
 
 
 def test_z2b_bitflip_example():
@@ -43,7 +43,7 @@ def test_z2b_bitflip_example():
     out = run_protocol(spec, noise)
     assert out.p_accept == pytest.approx(0.82, abs=1e-12)
     assert out.f_after == pytest.approx(0.81 / 0.82, abs=1e-12)
-    assert out.f_before_max == pytest.approx(0.9, abs=1e-12)
+    assert out.f_before == pytest.approx(0.9, abs=1e-12)
 
 
 def test_x2b_phase_flip_example():
@@ -69,9 +69,9 @@ def test_z2b_local_depol_matches_closed_form():
         noise = [depolarizing_local(p, spec.noise_qubits[0]), depolarizing_local(q, spec.noise_qubits[1])]
         out = run_protocol(spec, noise)
         ref = z2b_local_depol(p, q)
-        assert out.p_accept == pytest.approx(ref.acceptance_prob, abs=1e-12)
-        assert out.f_after == pytest.approx(ref.fidelity_after, abs=1e-12)
-        assert out.f_before_max == pytest.approx(ref.fidelity_before, abs=1e-12)
+        assert out.p_accept == pytest.approx(ref.p_accept, abs=1e-12)
+        assert out.f_after == pytest.approx(ref.f_after, abs=1e-12)
+        assert out.f_before == pytest.approx(ref.f_before, abs=1e-12)
 
 
 def test_zx3b_global_depol_example():
@@ -90,9 +90,9 @@ def test_bitflip_strict_improvement_region():
                 continue
             noise = [bit_flip(p, spec.noise_qubits[0]), bit_flip(q, spec.noise_qubits[1])]
             out = run_protocol(spec, noise)
-            assert out.f_after - out.f_before_max > 0
+            assert out.f_after - out.f_before > 0
             ref = recurrence_bitflip(p, q)
-            assert out.f_after == pytest.approx(ref.fidelity_after, abs=1e-12)
+            assert out.f_after == pytest.approx(ref.f_after, abs=1e-12)
 
 
 def test_global_depol_always_improves():
@@ -195,8 +195,8 @@ def test_protocol_registry():
 def test_outcome_derived_quantities():
     spec = build_z2b()
     out = run_protocol(spec, [bit_flip(0.1, qubit=q) for q in spec.noise_qubits])
-    assert out.ratio == pytest.approx(out.f_after / out.f_before_max, abs=1e-14)
-    expected = 100 * (out.f_after - out.f_before_max) / (1 - out.f_before_max)
+    assert out.ratio == pytest.approx(out.f_after / out.f_before, abs=1e-14)
+    expected = 100 * (out.f_after - out.f_before) / (1 - out.f_before)
     assert out.err_decrease == pytest.approx(expected, abs=1e-12)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from distillery import cli
 from distillery.analytic import global_depol_distill, z2b_local_depol
-from distillery.circuit import NoisyExecutionConfig
 from distillery.protocols import get_protocol
 from distillery.sweep import (
     CSV_HEADER_COMMENT,
@@ -20,6 +19,7 @@ from distillery.sweep import (
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def minimal_config(**overrides):
@@ -71,9 +71,9 @@ def test_noiseless_sweep_matches_closed_form_per_row():
     rows = run_sweep(cfg, gate_error=0.0, meas_error=0.0)
     for row in rows:
         ref = z2b_local_depol(row.sweep_value, row.sweep_value)
-        assert abs(row.p_accept - ref.acceptance_prob) <= 1e-10
-        assert abs(row.f_after - ref.fidelity_after) <= 1e-10
-        assert abs(row.f_before - ref.fidelity_before) <= 1e-10
+        assert abs(row.p_accept - ref.p_accept) <= 1e-10
+        assert abs(row.f_after - ref.f_after) <= 1e-10
+        assert abs(row.f_before - ref.f_before) <= 1e-10
 
 
 def test_noiseless_global_sweep_matches_closed_form():
@@ -86,9 +86,9 @@ def test_noiseless_global_sweep_matches_closed_form():
     rows = run_sweep(cfg, gate_error=0.0, meas_error=0.0)
     for row in rows:
         ref = global_depol_distill("z2b", row.sweep_value)
-        assert abs(row.p_accept - ref.acceptance_prob) <= 1e-10
+        assert abs(row.p_accept - ref.p_accept) <= 1e-10
         if row.f_after is not None:
-            assert abs(row.f_after - ref.fidelity_after) <= 1e-10
+            assert abs(row.f_after - ref.f_after) <= 1e-10
 
 
 def test_rows_satisfy_ratio_and_error_decrease_identities():
@@ -124,9 +124,8 @@ def test_worker_pool_preserves_row_order():
 
 def test_asymmetry_ratio_targeting():
     spec = get_protocol("z2b")
-    exec_cfg = NoisyExecutionConfig(gate_error=0.01, meas_error=0.01)
-    p = solve_asymmetry(spec, 0.975, exec_cfg)
-    f1, f2 = pair_fidelities_at_prep(spec, p, exec_cfg)
+    p = solve_asymmetry(spec, 0.975, gate_error=0.01)
+    f1, f2 = pair_fidelities_at_prep(spec, p, gate_error=0.01)
     assert f1 / f2 == pytest.approx(0.975, abs=1e-5)
     # circuit noise shifts the naive 1 - p relation; the solver tracks the ratio
     assert p == pytest.approx(1 - 0.975 * (1.0), abs=5e-3)
@@ -278,8 +277,8 @@ def test_noiseless_bitflip_sweep_matches_closed_form():
     rows = run_sweep(cfg, gate_error=0.0, meas_error=0.0)
     for row in rows:
         ref = recurrence_bitflip(row.sweep_value, row.sweep_value)
-        assert abs(row.p_accept - ref.acceptance_prob) <= 1e-10
-        assert abs(row.f_after - ref.fidelity_after) <= 1e-10
+        assert abs(row.p_accept - ref.p_accept) <= 1e-10
+        assert abs(row.f_after - ref.f_after) <= 1e-10
 
 
 def test_rejected_rows_emit_empty_cells():
@@ -289,3 +288,30 @@ def test_rejected_rows_emit_empty_cells():
     text = rows_to_csv([row], 2)
     last = text.strip().splitlines()[-1]
     assert last == "0.1,0.9,0.8,0.9,,0,,"
+
+
+def test_staged_rows_match_benchmark_references(tmp_path):
+    """One sweep value per zx3b config, every (g, m) CSV, against the stored rows."""
+    picks = (
+        (CONFIGS / "zx3b_local_equal.json", 7),
+        (CONFIGS / "zx3b_global_asym.json", 20),  # asymmetry_ratio: runs the bisection
+        (PERFBENCH / "configs" / "zx3b_bitflip.json", 33),
+    )
+    for path, index in picks:
+        config = load_config(path)
+        raw = json.loads(path.read_text())
+        raw["sweep"] = {"variable": config.variable, "values": [config.sweep.values[index]]}
+        raw["out"] = str(tmp_path / f"{path.stem}.csv")
+        derived = tmp_path / path.name
+        derived.write_text(json.dumps(raw))
+        assert cli.main(["sweep", "--config", str(derived)]) == 0
+        for g in config.gate_error:
+            for m in config.meas_error:
+                name = f"{path.stem}_g{g:g}_m{m:g}.csv"
+                got = (tmp_path / name).read_text().splitlines()
+                ref = (PERFBENCH / "reference" / "staged" / name).read_text().splitlines()
+                assert got[:2] == ref[:2] and len(got) == 3, name
+                for a, b in zip(got[2].split(","), ref[2 + index].split(","), strict=True):
+                    assert (a == "") == (b == ""), name
+                    if a:
+                        assert float(a) == pytest.approx(float(b), abs=1e-10), name
