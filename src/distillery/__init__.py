@@ -2,7 +2,6 @@
 
 from .densop import (
     DensityOperator,
-    Projector,
     UnitaryOp,
     apply_unitary,
     bell_fidelity,

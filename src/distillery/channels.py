@@ -19,6 +19,7 @@ from .densop import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PAULIS,
     DensityOperator,
     embed_on_qubits,
     partial_trace_matrix,
@@ -62,10 +63,9 @@ class KrausChannel:
 
 
 def _pauli_product(letters: Sequence[str]) -> np.ndarray:
-    lut = {"I": ID2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-    out = lut[letters[0]]
+    out = PAULIS[letters[0]]
     for c in letters[1:]:
-        out = np.kron(out, lut[c])
+        out = np.kron(out, PAULIS[c])
     return out
 
 

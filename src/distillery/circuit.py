@@ -1,17 +1,20 @@
 """Gate sequences with interleaved noise, barriers, and noisy measurement.
 
-Execution is exact and deterministic: after every measurement the state
-splits into outcome branches carried with their joint probabilities, so
-post-selection reduces to summing branches. Gate noise is part of the
-circuit: :func:`with_gate_noise` follows each two-qubit gate with an explicit
+Execution is exact and carries one density matrix: a measurement dephases
+its qubit, which then holds the outcome (and must not be acted on again), so
+outcome o is the block where the measured qubits read o and post-selection
+keeps the accepted blocks. Gate noise is part of the circuit:
+:func:`with_gate_noise` follows each two-qubit gate with an explicit
 two-qubit global depolarizing channel. Readout noise is the executor's one
 knob: a bit flip on each measurement outcome.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -30,6 +33,7 @@ from .densop import (
     SDG_GATE,
     SWAP,
     DensityOperator,
+    basis_bits,
     cphase_matrix,
     embed_on_qubits,
 )
@@ -149,7 +153,6 @@ class Branch:
 
     outcomes: dict[str, int]
     probability: float
-    state: DensityOperator | None  # None when the branch has probability ~ 0
     weighted_matrix: np.ndarray  # unnormalized, trace = probability
 
 
@@ -158,28 +161,44 @@ class MeasurementRecord:
     labels: tuple[str, ...]
     joint_probabilities: dict[tuple[int, ...], float]
 
-    def marginal(self, label: str) -> dict[int, float]:
-        i = self.labels.index(label)
-        out = {0: 0.0, 1: 0.0}
-        for outcome, p in self.joint_probabilities.items():
-            out[outcome[i]] += p
-        return out
-
 
 @dataclass(frozen=True)
 class ExecutionResult:
+    """The final state; ``measured`` lists ``(label, qubit)`` in measurement order.
+
+    The block of ``matrix`` where those qubits read o is outcome o, unnormalized.
+    """
+
     n_qubits: int
-    branches: tuple[Branch, ...]
-    record: MeasurementRecord
+    matrix: np.ndarray
+    measured: tuple[tuple[str, int], ...]
     snapshots: dict[str, DensityOperator]
 
+    @cached_property
+    def branches(self) -> tuple[Branch, ...]:
+        """One masked block per outcome, in lexicographic outcome order."""
+        labels = [label for label, _ in self.measured]
+        bits = basis_bits(self.n_qubits)[:, [q for _, q in self.measured]]
+        out = []
+        for outcome in itertools.product((0, 1), repeat=len(self.measured)):
+            mask = np.all(bits == outcome, axis=1)
+            block = np.where(np.outer(mask, mask), self.matrix, 0)
+            p = float(np.real(np.trace(block)))
+            out.append(Branch(dict(zip(labels, outcome)), p, block))
+        return tuple(out)
+
+    @cached_property
+    def record(self) -> MeasurementRecord:
+        joint = {tuple(b.outcomes.values()): b.probability for b in self.branches}
+        return MeasurementRecord(tuple(label for label, _ in self.measured), joint)
+
     def unconditional_state(self) -> DensityOperator:
-        total = sum(b.weighted_matrix for b in self.branches)
-        return DensityOperator(self.n_qubits, total)
+        return DensityOperator(self.n_qubits, self.matrix)
 
 
 def _validate_circuit(circuit: Sequence[CircuitElement], n_qubits: int) -> None:
     labels = []
+    measured: set[int] = set()
     for el in circuit:
         if isinstance(el, Gate):
             qubits = el.targets
@@ -197,6 +216,10 @@ def _validate_circuit(circuit: Sequence[CircuitElement], n_qubits: int) -> None:
         for q in qubits:
             if not 0 <= q < n_qubits:
                 raise ValueError(f"qubit {q} out of range for a {n_qubits}-qubit register")
+        if measured and not isinstance(el, Delay) and not measured.isdisjoint(qubits):
+            raise ValueError(f"{el!r} acts on an already measured qubit; a measured qubit is final")
+        if isinstance(el, Measure):
+            measured.add(el.qubit)
     if len(labels) != len(set(labels)):
         raise ValueError(f"measurement labels must be distinct, got {labels}")
 
@@ -219,15 +242,14 @@ class _EmbedCache:
         return self.get(("gate", g.name, g.angle, g.targets), g.matrix(), g.targets)
 
 
-def _project(rho: np.ndarray, qubit: int, outcome: int, n: int) -> np.ndarray:
-    """P rho P for the Z projector onto ``outcome``; the qubit stays in place."""
-    t = rho.reshape((2,) * (2 * n))
-    out = np.zeros_like(t)
+def _dephase(rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """rho with the blocks off-diagonal in ``qubit``'s Z basis set to zero."""
+    t = rho.reshape((2,) * (2 * n)).copy()
     idx = [slice(None)] * (2 * n)
-    idx[qubit] = outcome
-    idx[n + qubit] = outcome
-    out[tuple(idx)] = t[tuple(idx)]
-    return out.reshape(rho.shape)
+    for a in (0, 1):
+        idx[qubit], idx[n + qubit] = a, 1 - a
+        t[tuple(idx)] = 0
+    return t.reshape(rho.shape)
 
 
 def execute_exact(
@@ -235,12 +257,13 @@ def execute_exact(
     init: DensityOperator,
     meas_error: float = 0.0,
 ) -> ExecutionResult:
-    """Run a circuit, branching deterministically on every measurement.
+    """Run a circuit exactly; each measurement dephases its qubit, which stays in the register.
 
     Gates are ideal; noise comes from the circuit's channels. Each outcome
     flips with probability ``meas_error``, applied after the basis rotation.
-    Delays are timing markers. Branch probabilities always sum to one;
-    zero-probability branches are carried, never divided by.
+    Delays are timing markers. Nothing may act on a measured qubit except a
+    Delay (ValueError otherwise). Zero-probability outcomes are carried as
+    zero blocks, never divided by.
     """
     if not 0.0 <= meas_error <= 1.0:
         raise ValueError(f"measurement error must be in [0, 1], got {meas_error}")
@@ -248,50 +271,31 @@ def execute_exact(
     _validate_circuit(circuit, n)
     cache = _EmbedCache(n)
 
-    branches: list[tuple[tuple[int, ...], np.ndarray]] = [((), init.matrix.copy())]
-    labels: list[str] = []
+    rho = init.matrix
+    measured: list[tuple[str, int]] = []
     snapshots: dict[str, DensityOperator] = {}
 
     for el in circuit:
         if isinstance(el, Gate):
             full = cache.gate(el)
-            full_dag = full.conj().T
-            branches = [(o, full @ m @ full_dag) for o, m in branches]
+            rho = full @ rho @ full.conj().T
         elif isinstance(el, ChannelOp):
-            branches = [(o, apply_channel_matrix(m, el.channel, n)) for o, m in branches]
+            rho = apply_channel_matrix(rho, el.channel, n)
         elif isinstance(el, Barrier):
             if el.label:
-                total = sum(m for _, m in branches)
-                snapshots[el.label] = DensityOperator(n, total)
+                snapshots[el.label] = DensityOperator(n, rho)
         elif isinstance(el, Measure):
-            labels.append(el.label)
             rot = BASIS_ROTATIONS[el.basis]
-            rot_full = None
             if rot is not None:
                 rot_full = cache.get(("basis", el.basis, el.qubit), rot, (el.qubit,))
-            x_full = None
+                rho = rot_full @ rho @ rot_full.conj().T
             if meas_error > 0.0:
                 x_full = cache.get(("x", el.qubit), PAULI_X, (el.qubit,))
-            new_branches = []
-            for o, m in branches:
-                if rot_full is not None:
-                    m = rot_full @ m @ rot_full.conj().T
-                if x_full is not None:
-                    m = (1 - meas_error) * m + meas_error * (x_full @ m @ x_full)
-                for outcome in (0, 1):
-                    new_branches.append((o + (outcome,), _project(m, el.qubit, outcome, n)))
-            branches = new_branches
+                rho = (1 - meas_error) * rho + meas_error * (x_full @ rho @ x_full)
+            rho = _dephase(rho, el.qubit, n)
+            measured.append((el.label, el.qubit))
 
-    label_tuple = tuple(labels)
-    out_branches = []
-    joint: dict[tuple[int, ...], float] = {}
-    for o, m in branches:
-        p = float(np.real(np.trace(m)))
-        joint[o] = joint.get(o, 0.0) + p
-        state = DensityOperator(n, m / p) if p > ZERO_PROB else None
-        out_branches.append(Branch(dict(zip(label_tuple, o)), p, state, m))
-    record = MeasurementRecord(label_tuple, joint)
-    return ExecutionResult(n, tuple(out_branches), record, snapshots)
+    return ExecutionResult(n, rho, tuple(measured), snapshots)
 
 
 AgreementRule = Callable[[Mapping[str, int]], bool]
@@ -372,19 +376,25 @@ def element_to_json(el: CircuitElement) -> dict:
 
 
 def element_from_json(data: dict) -> CircuitElement:
+    """One circuit element; a missing field raises ValueError naming it."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object, got {data!r}")
     kind = data.get("type")
-    if kind == "gate":
-        return Gate(data["name"], tuple(data["targets"]), data.get("angle"))
-    if kind == "channel":
-        ch = data["channel"]
-        if ch.get("kind") == "global_depolarizing":
-            return ChannelOp(GlobalDepolarizingChannel(tuple(ch["target_qubits"]), ch["lam"]))
-        ops = tuple(_complex_matrix_from_json(k) for k in ch["kraus_ops"])
-        return ChannelOp(KrausChannel(tuple(ch["target_qubits"]), ops))
-    if kind == "delay":
-        return Delay(data["duration"], tuple(data["qubits"]))
-    if kind == "measure":
-        return Measure(data["qubit"], data.get("basis", "Z"), data.get("label", ""))
+    try:
+        if kind == "gate":
+            return Gate(data["name"], tuple(data["targets"]), data.get("angle"))
+        if kind == "channel":
+            ch = data["channel"]
+            if ch.get("kind") == "global_depolarizing":
+                return ChannelOp(GlobalDepolarizingChannel(tuple(ch["target_qubits"]), ch["lam"]))
+            ops = tuple(_complex_matrix_from_json(k) for k in ch["kraus_ops"])
+            return ChannelOp(KrausChannel(tuple(ch["target_qubits"]), ops))
+        if kind == "delay":
+            return Delay(data["duration"], tuple(data["qubits"]))
+        if kind == "measure":
+            return Measure(data["qubit"], data.get("basis", "Z"), data.get("label", ""))
+    except KeyError as err:
+        raise ValueError(f"{kind} element: missing field {err.args[0]!r}") from None
     if kind == "barrier":
         return Barrier(data.get("label", ""))
     raise ValueError(f"unknown circuit element type {kind!r}")
@@ -398,4 +408,10 @@ def circuit_from_json(text: str) -> list[CircuitElement]:
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("circuit JSON must be a list of elements")
-    return [element_from_json(d) for d in data]
+    elements = []
+    for i, d in enumerate(data):
+        try:
+            elements.append(element_from_json(d))
+        except ValueError as err:
+            raise ValueError(f"circuit element {i}: {err}") from None
+    return elements

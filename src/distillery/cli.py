@@ -28,7 +28,6 @@ from .protocols import PROTOCOL_NAMES, get_protocol
 from .sweep import (
     ConfigError,
     config_to_dict,
-    idle_rows_to_csv,
     load_config,
     rows_to_csv,
     run_sweep,
@@ -95,27 +94,16 @@ def cmd_analytic(args) -> int:
         if args.lam is None:
             raise ConfigError("analytic: global_depol requires --lam")
         res = analytic.global_depol_distill(proto, args.lam)
-        payload = {
-            "protocol": proto,
-            "noise_family": family,
-            "lam": args.lam,
-            "p_accept": res.p_accept,
-            "F_b": res.f_before,
-            "F_a": res.f_after,
-            "r": res.ratio,
-        }
-        _print_analytic(payload, args.json)
-        return EXIT_OK
     else:
         raise ConfigError(
             f"analytic: unknown noise family {args.family!r} "
             "(expected bitflip, local_depol, or global_depol)"
         )
+    params = {"lam": args.lam} if family == "global_depol" else {"p": args.p, "q": args.q}
     payload = {
         "protocol": proto,
         "noise_family": family,
-        "p": args.p,
-        "q": args.q,
+        **params,
         "p_accept": res.p_accept,
         "F_b": res.f_before,
         "F_a": res.f_after,
@@ -193,7 +181,7 @@ def cmd_simulate_idle(args) -> int:
         swap_decomposition=args.swap_decomposition,
         perfect_coherence=args.perfect_coherence,
     )
-    _write_text(args.out, idle_rows_to_csv(rows, spec.n_pairs))
+    _write_text(args.out, rows_to_csv(rows, spec.n_pairs, idle=True))
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ which is the simplest and fastest representation at this scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +43,6 @@ PAULIS = {"I": ID2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 # |00> + |11>, normalized: the target entangled state of one pair.
 BELL_VEC = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-BELL_DM = np.outer(BELL_VEC, BELL_VEC.conj())
 
 
 def cphase_matrix(theta: float) -> np.ndarray:
@@ -115,30 +115,14 @@ class UnitaryOp:
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "target_qubits", targets)
 
-    @property
-    def n_qubits_acted(self) -> int:
-        return len(self.target_qubits)
 
-
-@dataclass(frozen=True)
-class Projector:
-    """An idempotent Hermitian operator on an ordered subset of qubits."""
-
-    matrix: np.ndarray
-    target_qubits: tuple[int, ...]
-
-    def __post_init__(self):
-        targets = tuple(self.target_qubits)
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = 2 ** len(targets)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match {len(targets)} targets")
-        if np.max(np.abs(mat - mat.conj().T)) > UNITARY_TOL:
-            raise ValueError("projector must be Hermitian")
-        if np.max(np.abs(mat @ mat - mat)) > UNITARY_TOL:
-            raise ValueError("projector must be idempotent")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "target_qubits", targets)
+@lru_cache(maxsize=None)
+def basis_bits(n_qubits: int) -> np.ndarray:
+    """(2^n, n) read-only array: entry [i, q] is qubit q's bit in basis index i."""
+    shifts = np.arange(n_qubits - 1, -1, -1)
+    bits = (np.arange(2**n_qubits)[:, None] >> shifts) & 1
+    bits.flags.writeable = False
+    return bits
 
 
 def embed_on_qubits(op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:

@@ -15,20 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Gate
-from .densop import CNOT, HADAMARD, ID2, PAULI_X, PAULI_Y, PAULI_Z, S_GATE, SDG_GATE, SWAP, cphase_matrix
+from .densop import CNOT, HADAMARD, PAULIS, S_GATE, SDG_GATE, SWAP, cphase_matrix
 
-LETTERS = "IXZY"  # index = x + 2*z
 _XZ_OF = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _LETTER_OF = {v: k for k, v in _XZ_OF.items()}
-_MATS = {"I": ID2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 # letter multiplication: (a, b) -> (phase as power of i, product letter)
 _MUL: dict[tuple[str, str], tuple[int, str]] = {}
 for _a, _b in itertools.product("IXYZ", repeat=2):
-    _prod = _MATS[_a] @ _MATS[_b]
+    _prod = PAULIS[_a] @ PAULIS[_b]
     for _c in "IXYZ":
         for _k in range(4):
-            if np.allclose(_prod, (1j**_k) * _MATS[_c]):
+            if np.allclose(_prod, (1j**_k) * PAULIS[_c]):
                 _MUL[(_a, _b)] = (_k, _c)
 
 
@@ -70,9 +68,6 @@ class PauliString:
         parts = [f"{self.letter(q)}{q}" for q in range(self.n) if self.letter(q) != "I"]
         return "".join(parts) if parts else "I"
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(q for q in range(self.n) if self.letter(q) != "I")
-
     def commutes_with(self, other: "PauliString") -> bool:
         acc = 0
         for q in range(self.n):
@@ -88,7 +83,7 @@ class PauliString:
     def matrix(self) -> np.ndarray:
         out = np.array([[1]], dtype=complex)
         for q in range(self.n):
-            out = np.kron(out, _MATS[self.letter(q)])
+            out = np.kron(out, PAULIS[self.letter(q)])
         return (1j**self.phase_i) * out
 
 
@@ -100,10 +95,10 @@ def multiply_letters(a: str, b: str) -> tuple[int, str]:
 def _conj_table_1q(u: np.ndarray) -> dict[str, tuple[int, str]]:
     table = {}
     for a in "IXYZ":
-        conj = u @ _MATS[a] @ u.conj().T
+        conj = u @ PAULIS[a] @ u.conj().T
         for c in "IXYZ":
             for k in range(4):
-                if np.allclose(conj, (1j**k) * _MATS[c], atol=1e-12):
+                if np.allclose(conj, (1j**k) * PAULIS[c], atol=1e-12):
                     table[a] = (k, c)
     assert len(table) == 4
     return table
@@ -112,9 +107,9 @@ def _conj_table_1q(u: np.ndarray) -> dict[str, tuple[int, str]]:
 def _conj_table_2q(u: np.ndarray) -> dict[tuple[str, str], tuple[int, str, str]]:
     table = {}
     for a, b in itertools.product("IXYZ", repeat=2):
-        conj = u @ np.kron(_MATS[a], _MATS[b]) @ u.conj().T
+        conj = u @ np.kron(PAULIS[a], PAULIS[b]) @ u.conj().T
         for c, d in itertools.product("IXYZ", repeat=2):
-            target = np.kron(_MATS[c], _MATS[d])
+            target = np.kron(PAULIS[c], PAULIS[d])
             for k in range(4):
                 if np.allclose(conj, (1j**k) * target, atol=1e-12):
                     table[(a, b)] = (k, c, d)
@@ -126,7 +121,7 @@ _TABLES_1Q = {
     "H": _conj_table_1q(HADAMARD),
     "S": _conj_table_1q(S_GATE),
     "Sdg": _conj_table_1q(SDG_GATE),
-    "X": _conj_table_1q(PAULI_X),
+    "X": _conj_table_1q(PAULIS["X"]),
 }
 _TABLES_2Q = {
     "CNOT": _conj_table_2q(CNOT),

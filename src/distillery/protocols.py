@@ -32,9 +32,9 @@ from .densop import (
     DensityOperator,
     UnitaryOp,
     apply_matrix,
+    basis_bits,
     bell_fidelity_matrix,
     bell_pairs_on,
-    embed_on_qubits,
     partial_trace_matrix,
 )
 
@@ -216,13 +216,6 @@ def run_protocol(spec: ProtocolSpec, input_noise: Sequence[NoiseChannel] = ()) -
     return distill_executed(result, spec, f_before)
 
 
-def _pair_projector_matrix() -> np.ndarray:
-    p = np.zeros((4, 4), dtype=complex)
-    p[0, 0] = 1.0
-    p[3, 3] = 1.0
-    return p
-
-
 def general_distill(
     rho_ab: DensityOperator, u: UnitaryOp, kept_pair_index: int = 0
 ) -> tuple[float, DensityOperator, float]:
@@ -242,12 +235,10 @@ def general_distill(
         raise ValueError(f"kept pair index {kept_pair_index} out of range for {n_pairs} pairs")
     n = rho_ab.n_qubits
     mat = apply_matrix(rho_ab.matrix, u.matrix, u.target_qubits, n)
-    proj = _pair_projector_matrix()
-    for i in range(n_pairs):
-        if i == kept_pair_index:
-            continue
-        full = embed_on_qubits(proj, (i, n_pairs + i), n)
-        mat = full @ mat @ full
+    bits = basis_bits(n)
+    others = [i for i in range(n_pairs) if i != kept_pair_index]
+    keep = np.all(bits[:, others] == bits[:, [n_pairs + i for i in others]], axis=1)
+    mat = mat * np.outer(keep, keep)  # the projector is a 0/1 diagonal, so this is exact
     p_accept = float(np.real(np.trace(mat)))
     if p_accept <= 1e-14:
         raise NothingAcceptedError("projection onto agreeing outcomes has zero weight")

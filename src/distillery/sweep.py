@@ -44,6 +44,13 @@ CSV_HEADER_COMMENT = "# distillery-csv v1"
 
 NOISE_FAMILIES = ("bitflip", "local_depol", "global_depol", "idle")
 SWEEP_VARIABLES = {"bitflip": "q", "local_depol": "q", "global_depol": "lam", "idle": "delay"}
+# what each family's swept value is, and its closed range (idle delays in us)
+SWEEP_RANGES = {
+    "bitflip": ("bit-flip probabilities", 0.0, 0.5),
+    "local_depol": ("depolarizing probabilities", 0.0, 1.0),
+    "global_depol": ("depolarizing strengths", 0.0, 1.0),
+    "idle": ("idle delays", 0.0, math.inf),
+}
 
 # qubits carrying the waiting error (one half of each non-local pair) and the
 # qubits whose extra depolarizing sets up the pair asymmetry
@@ -54,6 +61,25 @@ LOCAL_PAIRS = {2: ((0, 1), (2, 3)), 3: ((0, 1), (2, 3), (4, 5))}
 
 class ConfigError(ValueError):
     """A sweep configuration is malformed; the message names the field."""
+
+
+def _convert(kind, value, name: str):
+    """``kind(value)``, or a ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name}: expected {expected}, got {value!r}") from None
+
+
+def _as_tuple(kind, value, name: str, scalar_ok: bool = False) -> tuple:
+    """A list (or, with ``scalar_ok``, one number) as a tuple of ``kind``."""
+    if scalar_ok and isinstance(value, (int, float)):
+        value = [value]
+    if not isinstance(value, (list, tuple)):
+        expected = "a number or a list of numbers" if scalar_ok else "a list of numbers"
+        raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+    return tuple(_convert(kind, v, name) for v in value)
 
 
 @dataclass(frozen=True)
@@ -71,9 +97,11 @@ class SweepGrid:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepGrid":
         if "values" in data:
-            return cls(tuple(data["values"]))
+            return cls(_as_tuple(float, data["values"], "sweep.values"))
         try:
-            start, stop, num = float(data["start"]), float(data["stop"]), int(data["num"])
+            start = _convert(float, data["start"], "sweep.start")
+            stop = _convert(float, data["stop"], "sweep.stop")
+            num = _convert(int, data["num"], "sweep.num")
         except KeyError as err:
             raise ConfigError(f"sweep: missing field {err.args[0]!r}") from None
         if num < 1:
@@ -133,16 +161,10 @@ class SweepConfig:
             )
         if self.noise_family == "idle" and self.idle is None:
             raise ConfigError("idle: required when noise_family is 'idle'")
-        if self.noise_family == "bitflip" and any(v > 0.5 for v in self.sweep.values):
-            raise ConfigError("sweep.values: bit-flip probabilities must stay in [0, 1/2]")
-
-
-def _as_float_tuple(value, name: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        return (float(value),)
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    raise ConfigError(f"{name}: expected a number or list of numbers, got {value!r}")
+        what, lo, hi = SWEEP_RANGES[self.noise_family]
+        for v in self.sweep.values:
+            if not (math.isfinite(v) and lo <= v <= hi):
+                raise ConfigError(f"sweep.values: {what} must be finite and in [{lo:g}, {hi:g}], got {v}")
 
 
 def config_from_dict(data: dict) -> SweepConfig:
@@ -154,18 +176,29 @@ def config_from_dict(data: dict) -> SweepConfig:
         sweep_data = data["sweep"]
     except KeyError as err:
         raise ConfigError(f"config: missing field {err.args[0]!r}") from None
-    get_protocol(protocol)  # raises on unknown names
+    for name, value in (("protocol", protocol), ("noise_family", family)):
+        if not isinstance(value, str):
+            raise ConfigError(f"{name}: expected a string, got {value!r}")
+    try:
+        get_protocol(protocol)
+    except ValueError as err:
+        raise ConfigError(f"protocol: {err}") from None
     if not isinstance(sweep_data, dict):
         raise ConfigError("sweep: expected an object with a grid")
     variable = sweep_data.get("variable", SWEEP_VARIABLES.get(family, "q"))
+    out, ratio = data.get("out"), data.get("asymmetry_ratio")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out: expected a path string, got {out!r}")
     idle = None
     if data.get("idle") is not None:
         idata = data["idle"]
+        if not isinstance(idata, dict):
+            raise ConfigError(f"idle: expected an object, got {idata!r}")
         try:
             idle = IdleOptions(
                 calibration=str(idata["calibration"]),
-                chain=tuple(int(q) for q in idata["chain"]),
-                n_segments=int(idata.get("n_segments", 16)),
+                chain=_as_tuple(int, idata["chain"], "idle.chain"),
+                n_segments=_convert(int, idata.get("n_segments", 16), "idle.n_segments"),
                 dd_mode=str(idata.get("dd_mode", "staggered")),
                 zz_enabled=bool(idata.get("zz_enabled", True)),
                 perfect_coherence=bool(idata.get("perfect_coherence", False)),
@@ -177,12 +210,12 @@ def config_from_dict(data: dict) -> SweepConfig:
         noise_family=str(family),
         sweep=SweepGrid.from_dict(sweep_data),
         variable=str(variable),
-        asymmetry_p=float(data.get("asymmetry_p", 0.0)),
-        asymmetry_ratio=(None if data.get("asymmetry_ratio") is None else float(data["asymmetry_ratio"])),
-        gate_error=_as_float_tuple(data.get("gate_error", 0.0), "gate_error"),
-        meas_error=_as_float_tuple(data.get("meas_error", 0.0), "meas_error"),
+        asymmetry_p=_convert(float, data.get("asymmetry_p", 0.0), "asymmetry_p"),
+        asymmetry_ratio=None if ratio is None else _convert(float, ratio, "asymmetry_ratio"),
+        gate_error=_as_tuple(float, data.get("gate_error", 0.0), "gate_error", scalar_ok=True),
+        meas_error=_as_tuple(float, data.get("meas_error", 0.0), "meas_error", scalar_ok=True),
         swap_decomposition=str(data.get("swap_decomposition", "three_cnots")),
-        out=data.get("out"),
+        out=out,
         idle=idle,
     )
 
@@ -390,32 +423,16 @@ def _fmt(x: float | None) -> str:
     return f"{x:.12g}"
 
 
-def rows_to_csv(rows: Sequence[SweepRow], n_pairs: int) -> str:
+def rows_to_csv(rows: Sequence[SweepRow], n_pairs: int, idle: bool = False) -> str:
+    """Sweep CSV; the simulate-idle form (``idle``) names the first column delay and has no eps_d."""
     fid_cols = [f"F{i + 1}" for i in range(n_pairs)]
-    header = ["sweep_value", *fid_cols, "F_b", "F_a", "p_accept", "r", "eps_d"]
-    lines = [CSV_HEADER_COMMENT, ",".join(header)]
-    for row in rows:
-        cells = [_fmt(row.sweep_value)]
-        cells += [_fmt(f) for f in row.pair_fidelities]
-        cells += [
-            _fmt(row.f_before),
-            _fmt(row.f_after),
-            _fmt(row.p_accept),
-            _fmt(row.ratio),
-            _fmt(row.err_decrease),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def idle_rows_to_csv(rows: Sequence[SweepRow], n_pairs: int) -> str:
-    """simulate-idle output: delay, pair fidelities, F_b, F_a, p_accept, r."""
-    fid_cols = [f"F{i + 1}" for i in range(n_pairs)]
-    header = ["delay", *fid_cols, "F_b", "F_a", "p_accept", "r"]
-    lines = [CSV_HEADER_COMMENT, ",".join(header)]
+    header = ["delay" if idle else "sweep_value", *fid_cols, "F_b", "F_a", "p_accept", "r"]
+    lines = [CSV_HEADER_COMMENT, ",".join(header + ([] if idle else ["eps_d"]))]
     for row in rows:
         cells = [_fmt(row.sweep_value)]
         cells += [_fmt(f) for f in row.pair_fidelities]
         cells += [_fmt(row.f_before), _fmt(row.f_after), _fmt(row.p_accept), _fmt(row.ratio)]
+        if not idle:
+            cells.append(_fmt(row.err_decrease))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

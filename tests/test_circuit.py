@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -205,11 +206,40 @@ def test_parity_agreement_rule():
 
 def test_zero_probability_branches_carried_without_division():
     circuit = [Measure(0, "Z", "a")]
-    result = execute_exact(circuit, ground(1))
-    by_outcome = {b.outcomes["a"]: b for b in result.branches}
-    assert by_outcome[1].probability == pytest.approx(0.0, abs=1e-14)
-    assert by_outcome[1].state is None
-    assert by_outcome[0].state is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = execute_exact(circuit, ground(1))
+        by_outcome = {b.outcomes["a"]: b for b in result.branches}
+    assert set(by_outcome) == {0, 1}
+    assert by_outcome[1].probability == 0.0
+    assert not np.any(by_outcome[1].weighted_matrix)
+    np.testing.assert_array_equal(by_outcome[0].weighted_matrix, ground(1).matrix)
+
+
+def test_mid_circuit_measurement_conditions_later_gates():
+    # Bell pair on (0, 1); qubit 2 copies qubit 1 after qubit 0 is read, so
+    # both outcomes report the same bit, each flipped with probability 0.1
+    circuit = BELL_PREP + [Measure(0, "Z", "a"), Gate("CNOT", (1, 2)), Measure(2, "Z", "b")]
+    result = execute_exact(circuit, ground(3), meas_error=0.1)
+    probs = result.record.joint_probabilities
+    assert result.record.labels == ("a", "b")
+    for outcome, expected in {(0, 0): 0.41, (1, 1): 0.41, (0, 1): 0.09, (1, 0): 0.09}.items():
+        assert probs[outcome] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "after",
+    [Gate("H", (0,)), ChannelOp(bit_flip(0.1, qubit=0)), Measure(0, "X", "b")],
+    ids=["gate", "channel", "measure"],
+)
+def test_acting_on_a_measured_qubit_is_rejected(after):
+    with pytest.raises(ValueError, match="measured qubit"):
+        execute_exact([Measure(0, "Z", "a"), after], ground(2))
+
+
+def test_delay_on_a_measured_qubit_is_accepted():
+    result = execute_exact([Measure(0, "Z", "a"), Delay(1.0, (0, 1))], ground(2))
+    assert result.record.joint_probabilities[(0,)] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_circuit_json_round_trip(rng):

@@ -56,6 +56,48 @@ def test_config_rejects_bad_values():
         config_from_dict(
             minimal_config(noise_family="idle", sweep={"variable": "delay", "values": [0.0]})
         )
+    with pytest.raises(ConfigError, match="sweep.values"):
+        config_from_dict(minimal_config(sweep={"values": [0.5, 1.5]}))
+    with pytest.raises(ConfigError, match="sweep.values"):
+        config_from_dict(
+            minimal_config(noise_family="global_depol", sweep={"variable": "lam", "values": [1.5]})
+        )
+    with pytest.raises(ConfigError, match="sweep.values"):
+        config_from_dict(
+            minimal_config(noise_family="bitflip", sweep={"values": [0.1, float("nan")]})
+        )
+    with pytest.raises(ConfigError, match="sweep.values"):
+        config_from_dict(
+            minimal_config(
+                noise_family="idle",
+                sweep={"variable": "delay", "values": [-10.0, 0.0]},
+                idle={"calibration": "kyiv_z2b", "chain": [0, 1, 2, 3]},
+            )
+        )
+
+
+IDLE_SWEEP = {"noise_family": "idle", "sweep": {"variable": "delay", "values": [0.0]}}
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"sweep": {"values": 0.1}}, "sweep.values"),
+        ({"sweep": {"values": "ab"}}, "sweep.values"),
+        ({"sweep": {"start": 0.0, "stop": 0.5, "num": "x"}}, "sweep.num"),
+        ({**IDLE_SWEEP, "idle": {"calibration": "kyiv_z2b", "chain": 5}}, "idle.chain"),
+        ({**IDLE_SWEEP, "idle": [1]}, "idle"),
+        ({"protocol": 3}, "protocol"),
+        ({"asymmetry_p": "x"}, "asymmetry_p"),
+        ({"gate_error": ["a"]}, "gate_error"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate-config", "sweep"])
+def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, command, overrides, field):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(minimal_config(**overrides)))
+    assert cli.main([command, "--config", str(config)]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
 
 
 def test_shipped_configs_all_validate():
@@ -245,6 +287,32 @@ def test_cli_simulate_circuit(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["outcomes"]["00"] == pytest.approx(0.5)
     assert payload["outcomes"]["11"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "element, field",
+    [
+        ({"type": "gate", "name": "H"}, "targets"),
+        ({"type": "measure", "label": "a"}, "qubit"),
+        ({"type": "channel", "channel": {"kind": "kraus", "target_qubits": [0]}}, "kraus_ops"),
+    ],
+)
+def test_cli_simulate_names_missing_circuit_field(tmp_path, capsys, element, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([{"type": "gate", "name": "H", "targets": [0]}, element]))
+    assert cli.main(["simulate", "--circuit", str(path), "--qubits", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "circuit element 1" in err and repr(field) in err
+
+
+def test_cli_simulate_rejects_acting_on_a_measured_qubit(tmp_path, capsys):
+    from distillery.circuit import Gate, Measure, circuit_to_json
+
+    path = tmp_path / "remeasure.json"
+    circuit = [Gate("H", (0,)), Measure(0, "Z", "a"), Gate("H", (0,)), Measure(0, "Z", "b")]
+    path.write_text(circuit_to_json(circuit))
+    assert cli.main(["simulate", "--circuit", str(path), "--qubits", "1"]) == 2
+    assert "measured qubit" in capsys.readouterr().err
 
 
 def test_cli_simulate_reports_fidelity(tmp_path, capsys):
