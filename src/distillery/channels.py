@@ -1,8 +1,9 @@
 """Quantum channels as Kraus-operator lists, with target-qubit bindings.
 
 Channels store the qubits they act on so that a noise model is simply a list
-of channels; :func:`apply_channel` embeds each Kraus operator into the full
-register.
+of channels. :func:`apply_channel` applies a Kraus channel as one
+superoperator on its target axes and global depolarizing in closed form;
+neither embeds anything into the full register.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -21,9 +23,8 @@ from .densop import (
     PAULI_Z,
     PAULIS,
     DensityOperator,
-    embed_on_qubits,
-    partial_trace_matrix,
-    permute_qubits,
+    apply_superoperator,
+    superoperator,
 )
 
 COMPLETENESS_TOL = 1e-10
@@ -213,12 +214,21 @@ def gp_from_t1t2(t: float, t1: float, t2: float) -> DampingDephasingParams:
 def apply_kraus_matrix(
     rho: np.ndarray, ops: Sequence[np.ndarray], targets: Sequence[int], n_qubits: int
 ) -> np.ndarray:
-    """rho -> sum_i K_i rho K_i^dag with embedding (raw arrays)."""
-    out = np.zeros_like(rho)
-    for k in ops:
-        full = embed_on_qubits(k, targets, n_qubits)
-        out += full @ rho @ full.conj().T
-    return out
+    """rho -> sum_i K_i rho K_i^dag, one superoperator contraction on ``targets`` (raw arrays)."""
+    return apply_superoperator(rho, superoperator(ops), targets, n_qubits)
+
+
+@lru_cache(maxsize=None)
+def _mixed_factors(targets: tuple[int, ...], n_qubits: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """I / 2^k on the row and column axes of sorted ``targets`` in the (2,) * 2n
+    tensor layout (size 1 elsewhere), and the shape that puts the reduced state
+    of the other qubits on the remaining axes, so that the two broadcast."""
+    eye_shape = [1] * (2 * n_qubits)
+    for q in targets:
+        eye_shape[q] = eye_shape[n_qubits + q] = 2
+    eye = (np.eye(2 ** len(targets), dtype=complex) / 2 ** len(targets)).reshape(eye_shape)
+    eye.flags.writeable = False
+    return eye, tuple(2 if d == 1 else 1 for d in eye_shape)
 
 
 def apply_global_depolarizing_matrix(
@@ -228,13 +238,18 @@ def apply_global_depolarizing_matrix(
     if lam == 0.0:
         return rho.copy()
     k = len(targets)
-    rest = [q for q in range(n_qubits) if q not in targets]
-    if rest:
-        reduced = partial_trace_matrix(rho, rest, n_qubits)
-        mixed = np.kron(np.eye(2**k, dtype=complex) / 2**k, reduced)
-        # mixed is ordered targets + rest; permute back to physical order
-        order = list(targets) + rest
-        mixed = permute_qubits(mixed, order, n_qubits)
+    if k < n_qubits:
+        targets = tuple(sorted(targets))
+        if len(set(targets)) != k or targets[0] < 0 or targets[-1] >= n_qubits:
+            raise ValueError(f"targets {targets} must be distinct qubits of a {n_qubits}-qubit register")
+        # trace the targets out highest qubit first, as partial_trace_matrix does
+        t = rho.reshape((2,) * (2 * n_qubits))
+        n = n_qubits
+        for q in reversed(targets):
+            t = np.trace(t, axis1=q, axis2=q + n)
+            n -= 1
+        eye, reduced_shape = _mixed_factors(targets, n_qubits)
+        mixed = (eye * t.reshape(reduced_shape)).reshape(rho.shape)
     else:
         mixed = np.trace(rho) * np.eye(2**k, dtype=complex) / 2**k
     return (1 - lam) * rho + lam * mixed
@@ -252,9 +267,5 @@ def apply_channel(rho: DensityOperator, ch: Channel) -> DensityOperator:
 
 
 def channel_superoperator(ch: Channel) -> np.ndarray:
-    """Column-stacking superoperator matrix of the channel on its own targets."""
-    dim = 2 ** len(ch.target_qubits)
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in ch.kraus_ops:
-        out += np.kron(k.conj(), k)
-    return out
+    """The channel's superoperator on its own targets, as :func:`densop.superoperator` builds it."""
+    return superoperator(ch.kraus_ops)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -33,9 +33,10 @@ from .densop import (
     SDG_GATE,
     SWAP,
     DensityOperator,
+    apply_superoperator,
     basis_bits,
     cphase_matrix,
-    embed_on_qubits,
+    superoperator,
 )
 
 ZERO_PROB = 1e-14
@@ -85,9 +86,22 @@ class Gate:
             raise ValueError(f"unknown gate {self.name!r}")
 
     def matrix(self) -> np.ndarray:
-        if self.name == "CPhase":
-            return cphase_matrix(self.angle)
-        return GATE_MATRICES[self.name]
+        return _gate_matrix(self.name, self.angle)
+
+
+def _gate_matrix(name: str, angle: float | None) -> np.ndarray:
+    return cphase_matrix(angle) if name == "CPhase" else GATE_MATRICES[name]
+
+
+@lru_cache(maxsize=256)
+def _gate_superoperator(name: str, angle: float | None) -> np.ndarray:
+    """Built once per (name, angle): gates repeat within a circuit and across sweeps."""
+    return superoperator([_gate_matrix(name, angle)])
+
+
+@lru_cache(maxsize=None)
+def _rotation_superoperator(basis: str) -> np.ndarray:
+    return superoperator([BASIS_ROTATIONS[basis]])
 
 
 @dataclass(frozen=True)
@@ -224,24 +238,6 @@ def _validate_circuit(circuit: Sequence[CircuitElement], n_qubits: int) -> None:
         raise ValueError(f"measurement labels must be distinct, got {labels}")
 
 
-class _EmbedCache:
-    """Embedded operators keyed per execution; gates repeat in sweeps."""
-
-    def __init__(self, n_qubits: int):
-        self.n = n_qubits
-        self._cache: dict[tuple, np.ndarray] = {}
-
-    def get(self, key: tuple, op: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-        mat = self._cache.get(key)
-        if mat is None:
-            mat = embed_on_qubits(op, targets, self.n)
-            self._cache[key] = mat
-        return mat
-
-    def gate(self, g: Gate) -> np.ndarray:
-        return self.get(("gate", g.name, g.angle, g.targets), g.matrix(), g.targets)
-
-
 def _dephase(rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
     """rho with the blocks off-diagonal in ``qubit``'s Z basis set to zero."""
     t = rho.reshape((2,) * (2 * n)).copy()
@@ -269,7 +265,6 @@ def execute_exact(
         raise ValueError(f"measurement error must be in [0, 1], got {meas_error}")
     n = init.n_qubits
     _validate_circuit(circuit, n)
-    cache = _EmbedCache(n)
 
     rho = init.matrix
     measured: list[tuple[str, int]] = []
@@ -277,21 +272,18 @@ def execute_exact(
 
     for el in circuit:
         if isinstance(el, Gate):
-            full = cache.gate(el)
-            rho = full @ rho @ full.conj().T
+            rho = apply_superoperator(rho, _gate_superoperator(el.name, el.angle), el.targets, n)
         elif isinstance(el, ChannelOp):
             rho = apply_channel_matrix(rho, el.channel, n)
         elif isinstance(el, Barrier):
             if el.label:
                 snapshots[el.label] = DensityOperator(n, rho)
         elif isinstance(el, Measure):
-            rot = BASIS_ROTATIONS[el.basis]
-            if rot is not None:
-                rot_full = cache.get(("basis", el.basis, el.qubit), rot, (el.qubit,))
-                rho = rot_full @ rho @ rot_full.conj().T
+            if BASIS_ROTATIONS[el.basis] is not None:
+                rho = apply_superoperator(rho, _rotation_superoperator(el.basis), (el.qubit,), n)
             if meas_error > 0.0:
-                x_full = cache.get(("x", el.qubit), PAULI_X, (el.qubit,))
-                rho = (1 - meas_error) * rho + meas_error * (x_full @ rho @ x_full)
+                flipped = apply_superoperator(rho, _gate_superoperator("X", None), (el.qubit,), n)
+                rho = (1 - meas_error) * rho + meas_error * flipped
             rho = _dephase(rho, el.qubit, n)
             measured.append((el.label, el.qubit))
 
@@ -341,6 +333,32 @@ def _complex_matrix_from_json(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_FIELD_TYPES = {
+    "an integer": _is_int,
+    "a list of integers": lambda v: isinstance(v, list) and all(_is_int(q) for q in v),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+}
+_REQUIRED = object()
+
+
+def _field(data: dict, name: str, expected: str, default=_REQUIRED):
+    """``data[name]`` if it is ``expected``; KeyError if missing and required, ValueError if mistyped."""
+    value = data.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise KeyError(name)
+        return default
+    if not _FIELD_TYPES[expected](value):
+        raise ValueError(f"field {name!r}: expected {expected}, got {value!r}")
+    return value
+
+
 def element_to_json(el: CircuitElement) -> dict:
     if isinstance(el, Gate):
         out = {"type": "gate", "name": el.name, "targets": list(el.targets)}
@@ -376,27 +394,39 @@ def element_to_json(el: CircuitElement) -> dict:
 
 
 def element_from_json(data: dict) -> CircuitElement:
-    """One circuit element; a missing field raises ValueError naming it."""
+    """One circuit element; a missing or mistyped field raises ValueError naming it."""
     if not isinstance(data, dict):
         raise ValueError(f"expected an object, got {data!r}")
     kind = data.get("type")
     try:
         if kind == "gate":
-            return Gate(data["name"], tuple(data["targets"]), data.get("angle"))
+            targets = tuple(_field(data, "targets", "a list of integers"))
+            return Gate(_field(data, "name", "a string"), targets, _field(data, "angle", "a number", None))
         if kind == "channel":
-            ch = data["channel"]
+            ch = _field(data, "channel", "an object")
+            targets = tuple(_field(ch, "target_qubits", "a list of integers"))
             if ch.get("kind") == "global_depolarizing":
-                return ChannelOp(GlobalDepolarizingChannel(tuple(ch["target_qubits"]), ch["lam"]))
-            ops = tuple(_complex_matrix_from_json(k) for k in ch["kraus_ops"])
-            return ChannelOp(KrausChannel(tuple(ch["target_qubits"]), ops))
+                return ChannelOp(GlobalDepolarizingChannel(targets, _field(ch, "lam", "a number")))
+            raw_ops = ch["kraus_ops"]
+            try:
+                ops = tuple(_complex_matrix_from_json(k) for k in raw_ops)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"field 'kraus_ops': expected a list of matrices of [re, im] pairs, got {raw_ops!r}"
+                ) from None
+            return ChannelOp(KrausChannel(targets, ops))
         if kind == "delay":
-            return Delay(data["duration"], tuple(data["qubits"]))
+            qubits = tuple(_field(data, "qubits", "a list of integers"))
+            return Delay(_field(data, "duration", "a number"), qubits)
         if kind == "measure":
-            return Measure(data["qubit"], data.get("basis", "Z"), data.get("label", ""))
+            basis, label = _field(data, "basis", "a string", "Z"), _field(data, "label", "a string", "")
+            return Measure(_field(data, "qubit", "an integer"), basis, label)
+        if kind == "barrier":
+            return Barrier(_field(data, "label", "a string", ""))
     except KeyError as err:
         raise ValueError(f"{kind} element: missing field {err.args[0]!r}") from None
-    if kind == "barrier":
-        return Barrier(data.get("label", ""))
+    except ValueError as err:
+        raise ValueError(f"{kind} element: {err}") from None
     raise ValueError(f"unknown circuit element type {kind!r}")
 
 

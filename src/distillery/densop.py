@@ -154,8 +154,56 @@ def embed_on_qubits(op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np
     return np.ascontiguousarray(t.reshape(2**n_qubits, 2**n_qubits))
 
 
+def superoperator(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
+    """The (4^k, 4^k) matrix sum_i K_i (x) conj(K_i) of rho -> sum_i K_i rho K_i^dag.
+
+    It acts on the row-major vectorization: entry (r, c) of a k-qubit matrix
+    is component r * 2^k + c. The result is read-only, so cached copies can
+    be shared.
+    """
+    ops = np.asarray(kraus_ops, dtype=complex)
+    dim = ops.shape[-1]
+    sup = np.einsum("iab,icd->acbd", ops, ops.conj()).reshape(dim * dim, dim * dim)
+    sup.flags.writeable = False
+    return sup
+
+
+@lru_cache(maxsize=None)
+def _target_axes(targets: tuple[int, ...], n_qubits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Transpose of the (2,) * 2n tensor that puts the target row axes, then the
+    target column axes first, and its inverse; ValueError for bad targets."""
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"target qubits must be distinct, got {list(targets)}")
+    for q in targets:
+        if not 0 <= q < n_qubits:
+            raise ValueError(f"qubit index {q} out of range for {n_qubits} qubits")
+    rest = [q for q in range(n_qubits) if q not in targets]
+    perm = (*targets, *(n_qubits + q for q in targets), *rest, *(n_qubits + q for q in rest))
+    return perm, tuple(int(a) for a in np.argsort(perm))
+
+
+def apply_superoperator(rho: np.ndarray, sup: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:
+    """Apply a k-qubit superoperator (see :func:`superoperator`) on ``targets`` (raw arrays).
+
+    One matmul on the target row and column axes; the rest of the register
+    is never embedded. The operator's qubit order follows ``targets``.
+    """
+    perm, inverse = _target_axes(tuple(targets), n_qubits)
+    k = 4 ** len(targets)
+    if sup.shape != (k, k):
+        raise ValueError(f"superoperator shape {sup.shape} does not match {len(targets)} targets")
+    shape = (2,) * (2 * n_qubits)
+    t = rho.reshape(shape).transpose(perm).reshape(k, -1)
+    return (sup @ t).reshape(shape).transpose(inverse).reshape(rho.shape)
+
+
 def apply_matrix(rho: np.ndarray, op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:
-    """rho -> E rho E^dag with E = ``op`` embedded on ``targets`` (raw arrays)."""
+    """rho -> E rho E^dag with E = ``op`` on ``targets`` (raw arrays).
+
+    A full-register ``op`` is a plain pair of matmuls.
+    """
+    if len(targets) < n_qubits:
+        return apply_superoperator(rho, superoperator([op]), targets, n_qubits)
     full = embed_on_qubits(op, targets, n_qubits)
     return full @ rho @ full.conj().T
 

@@ -82,6 +82,13 @@ def _as_tuple(kind, value, name: str, scalar_ok: bool = False) -> tuple:
     return tuple(_convert(kind, v, name) for v in value)
 
 
+def _as_bool(value, name: str) -> bool:
+    """A JSON boolean, or a ConfigError naming the field (``"false"`` is not false)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name}: expected true or false, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     values: tuple[float, ...]
@@ -200,8 +207,10 @@ def config_from_dict(data: dict) -> SweepConfig:
                 chain=_as_tuple(int, idata["chain"], "idle.chain"),
                 n_segments=_convert(int, idata.get("n_segments", 16), "idle.n_segments"),
                 dd_mode=str(idata.get("dd_mode", "staggered")),
-                zz_enabled=bool(idata.get("zz_enabled", True)),
-                perfect_coherence=bool(idata.get("perfect_coherence", False)),
+                zz_enabled=_as_bool(idata.get("zz_enabled", True), "idle.zz_enabled"),
+                perfect_coherence=_as_bool(
+                    idata.get("perfect_coherence", False), "idle.perfect_coherence"
+                ),
             )
         except KeyError as err:
             raise ConfigError(f"idle: missing field {err.args[0]!r}") from None

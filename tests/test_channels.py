@@ -78,12 +78,13 @@ def test_depolarizing_local_on_half_of_bell_pair():
 def test_depolarizing_local_two_forms_agree_as_superoperators():
     eye2 = np.eye(2, dtype=complex) / 2
     # superoperator of rho -> Tr(rho) I/2, built by its action on matrix units
+    # in the row-major vectorization channel_superoperator uses
     replace = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
             unit = np.zeros((2, 2), dtype=complex)
             unit[i, j] = 1.0
-            replace[:, 2 * j + i] = (np.trace(unit) * eye2).flatten(order="F")
+            replace[:, 2 * i + j] = (np.trace(unit) * eye2).flatten()
     for p in np.arange(0.0, 0.751, 0.1):
         mix = channel_superoperator(depolarizing_local(float(p)))
         second = (1 - 4 * p / 3) * np.eye(4, dtype=complex) + (4 * p / 3) * replace

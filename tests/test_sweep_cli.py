@@ -90,6 +90,14 @@ IDLE_SWEEP = {"noise_family": "idle", "sweep": {"variable": "delay", "values": [
         ({"protocol": 3}, "protocol"),
         ({"asymmetry_p": "x"}, "asymmetry_p"),
         ({"gate_error": ["a"]}, "gate_error"),
+        (
+            {**IDLE_SWEEP, "idle": {"calibration": "kyiv_z2b", "chain": [0, 1, 2, 3], "zz_enabled": "false"}},
+            "idle.zz_enabled",
+        ),
+        (
+            {**IDLE_SWEEP, "idle": {"calibration": "kyiv_z2b", "chain": [0, 1, 2, 3], "perfect_coherence": 1}},
+            "idle.perfect_coherence",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["validate-config", "sweep"])
@@ -298,6 +306,26 @@ def test_cli_simulate_circuit(tmp_path, capsys):
     ],
 )
 def test_cli_simulate_names_missing_circuit_field(tmp_path, capsys, element, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([{"type": "gate", "name": "H", "targets": [0]}, element]))
+    assert cli.main(["simulate", "--circuit", str(path), "--qubits", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "circuit element 1" in err and repr(field) in err
+
+
+@pytest.mark.parametrize(
+    "element, field",
+    [
+        ({"type": "gate", "name": "H", "targets": 5}, "targets"),
+        ({"type": "measure", "qubit": "a"}, "qubit"),
+        ({"type": "delay", "duration": "1.0", "qubits": [0]}, "duration"),
+        (
+            {"type": "channel", "channel": {"kind": "kraus", "target_qubits": [0], "kraus_ops": [[1, 0]]}},
+            "kraus_ops",
+        ),
+    ],
+)
+def test_cli_simulate_names_mistyped_circuit_field(tmp_path, capsys, element, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([{"type": "gate", "name": "H", "targets": [0]}, element]))
     assert cli.main(["simulate", "--circuit", str(path), "--qubits", "1"]) == 2
