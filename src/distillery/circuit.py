@@ -309,13 +309,19 @@ def parity_agreement(checks: Sequence[tuple[Sequence[str], Sequence[str]]]) -> A
 
 
 def postselect(result: ExecutionResult, rule: AgreementRule) -> tuple[float, DensityOperator]:
-    """Keep the branches the rule accepts; return (p_accept, renormalized mixture)."""
-    kept = np.zeros((2**result.n_qubits,) * 2, dtype=complex)
-    p_accept = 0.0
-    for b in result.branches:
-        if rule(b.outcomes):
-            kept += b.weighted_matrix
-            p_accept += b.probability
+    """Keep the outcomes the rule accepts; return (p_accept, renormalized mixture).
+
+    The measured qubits are dephased, so the accepted blocks are one masked
+    copy of the matrix, and p_accept is its trace.
+    """
+    labels = [label for label, _ in result.measured]
+    bits = basis_bits(result.n_qubits)[:, [q for _, q in result.measured]]
+    accepted = np.zeros(2**result.n_qubits, dtype=bool)
+    for outcome in itertools.product((0, 1), repeat=len(labels)):
+        if rule(dict(zip(labels, outcome))):
+            accepted |= np.all(bits == outcome, axis=1)
+    kept = np.where(np.outer(accepted, accepted), result.matrix, 0)
+    p_accept = float(np.real(np.trace(kept)))
     if p_accept <= ZERO_PROB:
         raise NothingAcceptedError("post-selection accepted no measurement branch")
     return p_accept, DensityOperator(result.n_qubits, kept / p_accept)

@@ -63,9 +63,9 @@ def cmd_sweep(args) -> int:
     if out_base is None and multiple:
         raise ConfigError("out: an output path is required when gate/meas errors are lists")
     spec = get_protocol(config.protocol)
+    results = run_sweep(config, jobs=args.jobs)
     for g, m in combos:
-        rows = run_sweep(config, g, m, jobs=args.jobs)
-        text = rows_to_csv(rows, spec.n_pairs)
+        text = rows_to_csv(results[g, m], spec.n_pairs)
         _write_text(None if out_base is None else _out_path_for(out_base, g, m, multiple), text)
     return EXIT_OK
 

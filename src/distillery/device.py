@@ -223,14 +223,14 @@ def idle_sequence(
             segs = (n // 2, n) if pos % 2 == 0 else (n // 4, 3 * n // 4)
             for s in segs:
                 pulse_after.setdefault(s, []).append(pos)
+    damping: list[CircuitElement] = []
+    if include_damping:
+        for pos, qid in enumerate(chain):
+            q = calib.qubit(qid)
+            damping.append(ChannelOp(damping_dephasing(gp_from_t1t2(dt, q.t1, q.t2), qubit=pos)))
     elements: list[CircuitElement] = []
     for k in range(1, n + 1):
-        if include_damping:
-            for pos, qid in enumerate(chain):
-                q = calib.qubit(qid)
-                elements.append(
-                    ChannelOp(damping_dephasing(gp_from_t1t2(dt, q.t1, q.t2), qubit=pos))
-                )
+        elements.extend(damping)
         for pos, angle in edge_angles:
             elements.append(Gate("CPhase", (pos, pos + 1), angle))
         for pos in pulse_after.get(k, ()):
@@ -298,6 +298,7 @@ def idle_distill_experiment(
 ) -> list[SweepRow]:
     """Prepare, swap, idle for each delay, then distill, on calibrated qubits.
 
+    Preparation and swaps run once, and each delay continues from their state.
     All gate and measurement noise comes from the calibration (edge gate
     errors as two-qubit global depolarizing, per-qubit readout bit flips);
     the kept qubits pick up their measurement-delay damping while the check
@@ -312,24 +313,24 @@ def idle_distill_experiment(
     edge_err = lambda a, b: calib.edge(chain[a], chain[b]).gate_error
     meas_err = lambda pos: calib.qubit(chain[pos]).meas_error
 
-    rows = []
     prep, swap_stage = _prep_and_swap_stage(spec.n_pairs, swap_decomposition)
-    # the idle window's ZZ phases are coherent crosstalk, not noisy gates
     before_idle = with_gate_noise(prep + [Barrier("t0")] + swap_stage + [Barrier("t1")], edge_err)
+    at_t1 = execute_exact(before_idle, ground_state(spec.n_qubits)).snapshots["t1"]
+    meas_delay_damping = []
+    if calib.meas_delay > 0 and not perfect_coherence:
+        for pos in spec.kept_pair:
+            q = calib.qubit(chain[pos])
+            meas_delay_damping.append(
+                ChannelOp(damping_dephasing(gp_from_t1t2(calib.meas_delay, q.t1, q.t2), qubit=pos))
+            )
+    check = with_gate_noise(_check_stage(spec, meas_err, meas_delay_damping), edge_err)
+    rows = []
     for delay in delays_us:
+        # the idle window's ZZ phases are coherent crosstalk, not noisy gates
         idle_stage = idle_sequence(
             chain, replace(idle, duration_us=delay), calib, include_damping=not perfect_coherence
         )
-        meas_delay_damping = []
-        if calib.meas_delay > 0 and not perfect_coherence:
-            for pos in spec.kept_pair:
-                q = calib.qubit(chain[pos])
-                meas_delay_damping.append(
-                    ChannelOp(damping_dephasing(gp_from_t1t2(calib.meas_delay, q.t1, q.t2), qubit=pos))
-                )
-        check = with_gate_noise(_check_stage(spec, meas_err, meas_delay_damping), edge_err)
-        circuit = before_idle + idle_stage + [Barrier("t2")] + check
-        result = execute_exact(circuit, ground_state(spec.n_qubits))
+        result = execute_exact(idle_stage + [Barrier("t2")] + check, at_t1)
         at_t2 = result.snapshots["t2"].matrix
         fids = tuple(
             bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs

@@ -3,7 +3,7 @@
 A string is (x bits, z bits, phase) with letter encoding I=(0,0), X=(1,0),
 Z=(0,1), Y=(1,1); two strings commute iff their symplectic inner product
 x1.z2 + z1.x2 vanishes mod 2. Conjugation tables for the supported gates are
-generated numerically from the dense matrices at import, so they cannot
+generated numerically from the dense matrices on first use, so they cannot
 drift from the simulator's gate definitions.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -20,14 +21,18 @@ from .densop import CNOT, HADAMARD, PAULIS, S_GATE, SDG_GATE, SWAP, cphase_matri
 _XZ_OF = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _LETTER_OF = {v: k for k, v in _XZ_OF.items()}
 
-# letter multiplication: (a, b) -> (phase as power of i, product letter)
-_MUL: dict[tuple[str, str], tuple[int, str]] = {}
-for _a, _b in itertools.product("IXYZ", repeat=2):
-    _prod = PAULIS[_a] @ PAULIS[_b]
-    for _c in "IXYZ":
-        for _k in range(4):
-            if np.allclose(_prod, (1j**_k) * PAULIS[_c]):
-                _MUL[(_a, _b)] = (_k, _c)
+
+@cache
+def _mul_table() -> dict[tuple[str, str], tuple[int, str]]:
+    """Letter multiplication: (a, b) -> (phase as power of i, product letter)."""
+    table = {}
+    for a, b in itertools.product("IXYZ", repeat=2):
+        prod = PAULIS[a] @ PAULIS[b]
+        for c in "IXYZ":
+            for k in range(4):
+                if np.allclose(prod, (1j**k) * PAULIS[c]):
+                    table[(a, b)] = (k, c)
+    return table
 
 
 class UnsupportedProtocolError(ValueError):
@@ -89,7 +94,7 @@ class PauliString:
 
 def multiply_letters(a: str, b: str) -> tuple[int, str]:
     """(phase power of i, letter) for the single-qubit product a*b."""
-    return _MUL[(a, b)]
+    return _mul_table()[(a, b)]
 
 
 def _conj_table_1q(u: np.ndarray) -> dict[str, tuple[int, str]]:
@@ -117,18 +122,17 @@ def _conj_table_2q(u: np.ndarray) -> dict[tuple[str, str], tuple[int, str, str]]
     return table
 
 
-_TABLES_1Q = {
-    "H": _conj_table_1q(HADAMARD),
-    "S": _conj_table_1q(S_GATE),
-    "Sdg": _conj_table_1q(SDG_GATE),
-    "X": _conj_table_1q(PAULIS["X"]),
-}
-_TABLES_2Q = {
-    "CNOT": _conj_table_2q(CNOT),
-    "SWAP": _conj_table_2q(SWAP),
-    "CZ": _conj_table_2q(cphase_matrix(np.pi)),
-}
+_MATRICES_1Q = {"H": HADAMARD, "S": S_GATE, "Sdg": SDG_GATE, "X": PAULIS["X"]}
+_MATRICES_2Q = {"CNOT": CNOT, "SWAP": SWAP, "CZ": cphase_matrix(np.pi)}
 _INVERSE_NAME = {"H": "H", "S": "Sdg", "Sdg": "S", "X": "X", "CNOT": "CNOT", "SWAP": "SWAP", "CZ": "CZ"}
+
+
+@cache
+def _conj_table(name: str) -> dict:
+    """The named gate's conjugation table, built on its first use."""
+    if name in _MATRICES_1Q:
+        return _conj_table_1q(_MATRICES_1Q[name])
+    return _conj_table_2q(_MATRICES_2Q[name])
 
 
 def _gate_table_name(gate: Gate) -> str:
@@ -139,7 +143,7 @@ def _gate_table_name(gate: Gate) -> str:
         if abs(theta - np.pi) < 1e-12:
             return "CZ"
         raise UnsupportedProtocolError(f"CPhase({gate.angle}) is not Clifford")
-    if gate.name in _TABLES_1Q or gate.name in _TABLES_2Q:
+    if gate.name in _MATRICES_1Q or gate.name in _MATRICES_2Q:
         return gate.name
     raise UnsupportedProtocolError(f"gate {gate.name!r} has no Clifford conjugation rule")
 
@@ -151,12 +155,12 @@ def conjugate_by_gate(p: PauliString, gate: Gate, inverse: bool = False) -> Paul
         return p
     if inverse:
         name = _INVERSE_NAME[name]
-    if name in _TABLES_1Q:
+    if name in _MATRICES_1Q:
         (q,) = gate.targets
-        k, c = _TABLES_1Q[name][p.letter(q)]
+        k, c = _conj_table(name)[p.letter(q)]
         return p.with_letter(q, c, k)
     qa, qb = gate.targets
-    k, ca, cb = _TABLES_2Q[name][(p.letter(qa), p.letter(qb))]
+    k, ca, cb = _conj_table(name)[(p.letter(qa), p.letter(qb))]
     return p.with_letter(qa, ca).with_letter(qb, cb, k)
 
 

@@ -8,6 +8,10 @@ stage. Gate noise is a uniform-strength channel after every two-qubit gate
 Each grid point yields one CSV row; rows carry the per-pair fidelities at the
 first barrier, the pre-distillation fidelity at the last barrier, and the
 post-selected outcome.
+
+Everything before the waiting error depends only on the protocol, the gate
+error, the asymmetry and the swap decomposition, so a sweep runs that prefix
+once per gate error and continues every point from its state at barrier t1.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import get_context
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +35,7 @@ from .circuit import (
     execute_exact,
     with_gate_noise,
 )
-from .densop import bell_fidelity_matrix, ground_state
+from .densop import DensityOperator, bell_fidelity_matrix, ground_state
 from .device import (
     IdleSpec,
     _prep_and_swap_stage,
@@ -125,6 +130,16 @@ class IdleOptions:
     zz_enabled: bool = True
     perfect_coherence: bool = False
 
+    def __post_init__(self):
+        if self.dd_mode not in ("none", "staggered"):
+            raise ConfigError(f"idle.dd_mode: must be 'none' or 'staggered', got {self.dd_mode!r}")
+        if self.n_segments < 1:
+            raise ConfigError(f"idle.n_segments: must be >= 1, got {self.n_segments}")
+        if self.dd_mode == "staggered" and self.n_segments % 4 != 0:
+            raise ConfigError(
+                f"idle.n_segments: staggered echo needs a multiple of 4, got {self.n_segments}"
+            )
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -168,6 +183,12 @@ class SweepConfig:
             )
         if self.noise_family == "idle" and self.idle is None:
             raise ConfigError("idle: required when noise_family is 'idle'")
+        if self.idle is not None:
+            n_qubits = get_protocol(self.protocol).n_qubits
+            if len(self.idle.chain) != n_qubits:
+                raise ConfigError(
+                    f"idle.chain: {self.protocol} needs {n_qubits} qubits, got {list(self.idle.chain)}"
+                )
         what, lo, hi = SWEEP_RANGES[self.noise_family]
         for v in self.sweep.values:
             if not (math.isfinite(v) and lo <= v <= hi):
@@ -277,6 +298,27 @@ def _wait_elements(family: str, n_pairs: int, value: float, n_qubits: int) -> li
     raise ConfigError(f"noise_family: no waiting channel for {family!r}")
 
 
+def _prefix_elements(
+    spec: ProtocolSpec, asymmetry_p: float, swap_decomposition: str
+) -> list[CircuitElement]:
+    """Prep, asymmetry and swaps, ending at barrier t1; nothing is measured."""
+    prep, swap_stage = _prep_and_swap_stage(spec.n_pairs, swap_decomposition)
+    elements = list(prep)
+    if asymmetry_p > 0:
+        for q in ASYMMETRY_QUBITS[spec.n_pairs]:
+            elements.append(ChannelOp(depolarizing_local(asymmetry_p, qubit=q)))
+    elements.append(Barrier("t0"))
+    elements.extend(swap_stage)
+    elements.append(Barrier("t1"))
+    return elements
+
+
+def _suffix_elements(spec: ProtocolSpec, family: str, wait_value: float) -> list[CircuitElement]:
+    """The waiting error, barrier t2, then the protocol's checks."""
+    wait = _wait_elements(family, spec.n_pairs, wait_value, spec.n_qubits)
+    return [*wait, Barrier("t2"), *spec.circuit]
+
+
 def build_staged_circuit(
     spec: ProtocolSpec,
     family: str,
@@ -289,18 +331,45 @@ def build_staged_circuit(
     The gates are ideal, so the asymmetry and waiting channels are the only
     noise here; :func:`run_staged_point` adds the gate noise.
     """
-    prep, swap_stage = _prep_and_swap_stage(spec.n_pairs, swap_decomposition)
-    elements = list(prep)
-    if asymmetry_p > 0:
-        for q in ASYMMETRY_QUBITS[spec.n_pairs]:
-            elements.append(ChannelOp(depolarizing_local(asymmetry_p, qubit=q)))
-    elements.append(Barrier("t0"))
-    elements.extend(swap_stage)
-    elements.append(Barrier("t1"))
-    elements.extend(_wait_elements(family, spec.n_pairs, wait_value, spec.n_qubits))
-    elements.append(Barrier("t2"))
-    elements.extend(spec.circuit)
-    return elements
+    return _prefix_elements(spec, asymmetry_p, swap_decomposition) + _suffix_elements(
+        spec, family, wait_value
+    )
+
+
+def _run_prefix(
+    spec: ProtocolSpec, asymmetry_p: float, gate_error: float, swap_decomposition: str
+) -> tuple[tuple[float, ...], DensityOperator]:
+    """The per-pair fidelities at t0 and the state at t1, for every point sharing this prefix."""
+    circuit = with_gate_noise(
+        _prefix_elements(spec, asymmetry_p, swap_decomposition), lambda a, b: gate_error
+    )
+    snapshots = execute_exact(circuit, ground_state(spec.n_qubits)).snapshots
+    at_t0 = snapshots["t0"].matrix
+    fids = tuple(
+        bell_fidelity_matrix(at_t0, pair, spec.n_qubits) for pair in LOCAL_PAIRS[spec.n_pairs]
+    )
+    return fids, snapshots["t1"]
+
+
+def _run_point(
+    spec: ProtocolSpec,
+    family: str,
+    wait_value: float,
+    gate_error: float,
+    meas_error: float,
+    fids: tuple[float, ...],
+    at_t1: DensityOperator,
+) -> SweepRow:
+    """One grid point: the wait and check stages, continued from the prefix's t1 state."""
+    circuit = with_gate_noise(_suffix_elements(spec, family, wait_value), lambda a, b: gate_error)
+    result = execute_exact(circuit, at_t1, meas_error)
+    at_t2 = result.snapshots["t2"].matrix
+    f_before = max(bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs)
+    try:
+        out = distill_executed(result, spec, f_before)
+    except NothingAcceptedError:
+        return SweepRow(wait_value, fids, f_before, None, 0.0)
+    return SweepRow(wait_value, fids, out.f_before, out.f_after, out.p_accept)
 
 
 def run_staged_point(
@@ -313,28 +382,16 @@ def run_staged_point(
     swap_decomposition: str = "three_cnots",
 ) -> SweepRow:
     """One staged grid point with uniform gate error g and readout error m."""
-    circuit = build_staged_circuit(spec, family, asymmetry_p, wait_value, swap_decomposition)
-    circuit = with_gate_noise(circuit, lambda a, b: gate_error)
-    result = execute_exact(circuit, ground_state(spec.n_qubits), meas_error)
-    at_t0 = result.snapshots["t0"].matrix
-    fids = tuple(
-        bell_fidelity_matrix(at_t0, pair, spec.n_qubits) for pair in LOCAL_PAIRS[spec.n_pairs]
-    )
-    at_t2 = result.snapshots["t2"].matrix
-    f_before = max(bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs)
-    try:
-        out = distill_executed(result, spec, f_before)
-    except NothingAcceptedError:
-        return SweepRow(wait_value, fids, f_before, None, 0.0)
-    return SweepRow(wait_value, fids, out.f_before, out.f_after, out.p_accept)
+    fids, at_t1 = _run_prefix(spec, asymmetry_p, gate_error, swap_decomposition)
+    return _run_point(spec, family, wait_value, gate_error, meas_error, fids, at_t1)
 
 
 def pair_fidelities_at_prep(
     spec: ProtocolSpec, asymmetry_p: float, gate_error: float = 0.0
 ) -> tuple[float, ...]:
     """Per-pair fidelities at the first barrier, before any swap."""
-    circuit = build_staged_circuit(spec, "local_depol", asymmetry_p, 0.0, "single_gate")
-    cut = circuit[: next(i for i, el in enumerate(circuit) if isinstance(el, Barrier)) + 1]
+    circuit = _prefix_elements(spec, asymmetry_p, "single_gate")
+    cut = circuit[: circuit.index(Barrier("t0")) + 1]
     cut = with_gate_noise(cut, lambda a, b: gate_error)
     result = execute_exact(cut, ground_state(spec.n_qubits))
     at_t0 = result.snapshots["t0"].matrix
@@ -400,26 +457,41 @@ def _idle_rows(config: SweepConfig) -> list[SweepRow]:
     )
 
 
-def _staged_point_task(args) -> SweepRow:
-    protocol, family, asym_p, value, g, m, decomposition = args
-    return run_staged_point(get_protocol(protocol), family, asym_p, value, g, m, decomposition)
+def _point_task(task) -> SweepRow:
+    return _run_point(*task)
 
 
-def run_sweep(config: SweepConfig, gate_error: float, meas_error: float, jobs: int = 1) -> list[SweepRow]:
-    """All grid points for one (gate error, measurement error) setting."""
+def run_sweep(config: SweepConfig, jobs: int = 1) -> dict[tuple[float, float], list[SweepRow]]:
+    """The rows of every (gate error, readout error) setting of the config.
+
+    A staged sweep solves the asymmetry and runs the prefix once per gate
+    error; every (readout error, swept value) point continues from that
+    prefix's t1 state, in ``jobs`` worker processes when ``jobs > 1``. An idle
+    sweep takes its noise from the calibration, so it runs once and every
+    setting gets the same rows.
+    """
+    gate_errors = list(dict.fromkeys(config.gate_error))
+    meas_errors = list(dict.fromkeys(config.meas_error))
+    grid = [(g, m) for g in gate_errors for m in meas_errors]
     if config.noise_family == "idle":
-        return _idle_rows(config)
-    asym_p = config.asymmetry_p
-    if config.asymmetry_ratio is not None:
-        asym_p = solve_asymmetry(get_protocol(config.protocol), config.asymmetry_ratio, gate_error)
-    tasks = [
-        (config.protocol, config.noise_family, asym_p, v, gate_error, meas_error, config.swap_decomposition)
-        for v in config.sweep.values
-    ]
+        rows = _idle_rows(config)
+        return {key: rows for key in grid}
+    spec = get_protocol(config.protocol)
+    tasks = []
+    for g in gate_errors:
+        asym_p = config.asymmetry_p
+        if config.asymmetry_ratio is not None:
+            asym_p = solve_asymmetry(spec, config.asymmetry_ratio, g)
+        fids, at_t1 = _run_prefix(spec, asym_p, g, config.swap_decomposition)
+        for m in meas_errors:
+            tasks += [(spec, config.noise_family, v, g, m, fids, at_t1) for v in config.sweep.values]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_staged_point_task, tasks))
-    return [_staged_point_task(t) for t in tasks]
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
+            rows = list(pool.map(_point_task, tasks))
+    else:
+        rows = list(map(_point_task, tasks))
+    n = len(config.sweep.values)
+    return {key: rows[i * n : (i + 1) * n] for i, key in enumerate(grid)}
 
 
 # ---------------------------------------------------------------------------

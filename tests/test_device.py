@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 
 from distillery.channels import channel_superoperator, damping_dephasing, gp_from_t1t2
-from distillery.circuit import ChannelOp, execute_exact
-from distillery.densop import DensityOperator, bell_pairs_on, cphase_matrix, embed_on_qubits
+from distillery.circuit import Barrier, ChannelOp, execute_exact, with_gate_noise
+from distillery.densop import (
+    DensityOperator,
+    bell_fidelity_matrix,
+    bell_pairs_on,
+    cphase_matrix,
+    embed_on_qubits,
+    ground_state,
+)
 from distillery.device import (
     CalibrationError,
     DeviceCalibration,
     EdgeCalibration,
     IdleSpec,
     QubitCalibration,
+    _check_stage,
+    _prep_and_swap_stage,
     bundled_calibration_path,
     calibration_to_dict,
     idle_distill_experiment,
@@ -21,7 +30,7 @@ from distillery.device import (
     mirror_twirl_experiment,
     save_calibration,
 )
-from distillery.protocols import build_z2b, build_zx3b
+from distillery.protocols import SweepRow, build_z2b, build_zx3b, distill_executed
 
 
 def coherent_calib(n, zz_rate):
@@ -174,6 +183,38 @@ def test_zz_without_echo_degrades_fidelity_far_below_echoed():
         IdleSpec(duration_us=0.0, n_segments=16, dd_mode="none", zz_enabled=True),
     )[0]
     assert without.f_before < with_dd.f_before - 0.15
+
+
+@pytest.mark.parametrize(
+    "spec, calibration, chain",
+    [(build_z2b(), "kyiv_z2b", [0, 1, 2, 3]), (build_zx3b(), "kyiv_3bell", [3, 4, 5, 6, 7, 8])],
+)
+def test_idle_experiment_from_shared_prefix_equals_unsplit_delays(spec, calibration, chain):
+    calib = load_calibration(bundled_calibration_path(calibration))
+    idle = IdleSpec(duration_us=0.0, n_segments=16, dd_mode="staggered", zz_enabled=True)
+    delays = [0.0, 40.0, 120.0]
+    rows = idle_distill_experiment(spec, chain, calib, delays, idle)
+
+    edge_err = lambda a, b: calib.edge(chain[a], chain[b]).gate_error
+    prep, swap_stage = _prep_and_swap_stage(spec.n_pairs, "three_cnots")
+    damping = []
+    for pos in spec.kept_pair:
+        q = calib.qubit(chain[pos])
+        damping.append(ChannelOp(damping_dephasing(gp_from_t1t2(calib.meas_delay, q.t1, q.t2), qubit=pos)))
+    check = _check_stage(spec, lambda pos: calib.qubit(chain[pos]).meas_error, damping)
+    for delay, row in zip(delays, rows, strict=True):
+        # each delay as one whole circuit from the ground state, sharing nothing
+        circuit = (
+            with_gate_noise(prep + [Barrier("t0")] + swap_stage + [Barrier("t1")], edge_err)
+            + idle_sequence(chain, IdleSpec(delay, 16, "staggered", True), calib)
+            + [Barrier("t2")]
+            + with_gate_noise(check, edge_err)
+        )
+        result = execute_exact(circuit, ground_state(spec.n_qubits))
+        at_t2 = result.snapshots["t2"].matrix
+        fids = tuple(bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs)
+        out = distill_executed(result, spec, max(fids))
+        assert row == SweepRow(delay, fids, out.f_before, out.f_after, out.p_accept)
 
 
 def test_chain_length_must_match_protocol():

@@ -3,13 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from distillery import cli
+from distillery import cli, sweep
 from distillery.analytic import global_depol_distill, z2b_local_depol
-from distillery.protocols import get_protocol
+from distillery.circuit import execute_exact, with_gate_noise
+from distillery.densop import bell_fidelity_matrix, ground_state
+from distillery.protocols import SweepRow, distill_executed, get_protocol
 from distillery.sweep import (
     CSV_HEADER_COMMENT,
+    LOCAL_PAIRS,
     ConfigError,
     SweepGrid,
+    build_staged_circuit,
     config_from_dict,
     load_config,
     pair_fidelities_at_prep,
@@ -98,6 +102,19 @@ IDLE_SWEEP = {"noise_family": "idle", "sweep": {"variable": "delay", "values": [
             {**IDLE_SWEEP, "idle": {"calibration": "kyiv_z2b", "chain": [0, 1, 2, 3], "perfect_coherence": 1}},
             "idle.perfect_coherence",
         ),
+        (
+            {**IDLE_SWEEP, "idle": {"calibration": "kyiv_z2b", "chain": [0, 1, 2, 3], "dd_mode": "bogus"}},
+            "idle.dd_mode",
+        ),
+        (
+            {**IDLE_SWEEP, "idle": {"calibration": "kyiv_z2b", "chain": [0, 1, 2, 3], "n_segments": 0}},
+            "idle.n_segments",
+        ),
+        (
+            {**IDLE_SWEEP, "idle": {"calibration": "kyiv_z2b", "chain": [0, 1, 2, 3], "n_segments": 6}},
+            "idle.n_segments",
+        ),
+        ({**IDLE_SWEEP, "idle": {"calibration": "kyiv_z2b", "chain": [0, 1, 2]}}, "idle.chain"),
     ],
 )
 @pytest.mark.parametrize("command", ["validate-config", "sweep"])
@@ -118,7 +135,7 @@ def test_noiseless_sweep_matches_closed_form_per_row():
     cfg = config_from_dict(
         minimal_config(sweep={"variable": "q", "start": 0.0, "stop": 0.75, "num": 16})
     )
-    rows = run_sweep(cfg, gate_error=0.0, meas_error=0.0)
+    rows = run_sweep(cfg)[0.0, 0.0]
     for row in rows:
         ref = z2b_local_depol(row.sweep_value, row.sweep_value)
         assert abs(row.p_accept - ref.p_accept) <= 1e-10
@@ -133,7 +150,7 @@ def test_noiseless_global_sweep_matches_closed_form():
             sweep={"variable": "lam", "start": 0.0, "stop": 1.0, "num": 11},
         )
     )
-    rows = run_sweep(cfg, gate_error=0.0, meas_error=0.0)
+    rows = run_sweep(cfg)[0.0, 0.0]
     for row in rows:
         ref = global_depol_distill("z2b", row.sweep_value)
         assert abs(row.p_accept - ref.p_accept) <= 1e-10
@@ -142,8 +159,8 @@ def test_noiseless_global_sweep_matches_closed_form():
 
 
 def test_rows_satisfy_ratio_and_error_decrease_identities():
-    cfg = config_from_dict(minimal_config())
-    rows = run_sweep(cfg, gate_error=0.02, meas_error=0.03)
+    cfg = config_from_dict(minimal_config(gate_error=0.02, meas_error=0.03))
+    rows = run_sweep(cfg)[0.02, 0.03]
     for row in rows:
         assert row.ratio == pytest.approx(row.f_after / row.f_before, abs=1e-9)
         if row.f_before < 1.0:
@@ -152,10 +169,10 @@ def test_rows_satisfy_ratio_and_error_decrease_identities():
 
 
 def test_csv_shape_and_determinism():
-    cfg = config_from_dict(minimal_config())
-    rows = run_sweep(cfg, 0.01, 0.01)
+    cfg = config_from_dict(minimal_config(gate_error=0.01, meas_error=0.01))
+    rows = run_sweep(cfg)[0.01, 0.01]
     text1 = rows_to_csv(rows, 2)
-    text2 = rows_to_csv(run_sweep(cfg, 0.01, 0.01), 2)
+    text2 = rows_to_csv(run_sweep(cfg)[0.01, 0.01], 2)
     assert text1 == text2
     lines = text1.splitlines()
     assert lines[0] == CSV_HEADER_COMMENT
@@ -164,12 +181,98 @@ def test_csv_shape_and_determinism():
 
 
 def test_worker_pool_preserves_row_order():
-    cfg = config_from_dict(minimal_config(sweep={"variable": "q", "values": [0.0, 0.2, 0.4, 0.6]}))
-    serial = run_sweep(cfg, 0.01, 0.0, jobs=1)
-    parallel = run_sweep(cfg, 0.01, 0.0, jobs=3)
+    cfg = config_from_dict(
+        minimal_config(sweep={"variable": "q", "values": [0.0, 0.2, 0.4, 0.6]}, gate_error=0.01)
+    )
+    serial = run_sweep(cfg, jobs=1)[0.01, 0.0]
+    parallel = run_sweep(cfg, jobs=3)[0.01, 0.0]
     assert [r.sweep_value for r in parallel] == [r.sweep_value for r in serial]
     for a, b in zip(serial, parallel):
         assert a.f_after == pytest.approx(b.f_after, abs=1e-15)
+
+
+def unsplit_rows(spec, family, asymmetry_p, values, g, m, decomposition):
+    """Each point as one whole circuit from the ground state, sharing nothing."""
+    rows = []
+    for v in values:
+        circuit = build_staged_circuit(spec, family, asymmetry_p, v, decomposition)
+        result = execute_exact(with_gate_noise(circuit, lambda a, b: g), ground_state(spec.n_qubits), m)
+        at_t0, at_t2 = result.snapshots["t0"].matrix, result.snapshots["t2"].matrix
+        n = spec.n_qubits
+        fids = tuple(bell_fidelity_matrix(at_t0, pair, n) for pair in LOCAL_PAIRS[spec.n_pairs])
+        f_before = max(bell_fidelity_matrix(at_t2, pair, n) for pair in spec.pairs)
+        out = distill_executed(result, spec, f_before)
+        rows.append(SweepRow(v, fids, f_before, out.f_after, out.p_accept))
+    return rows
+
+
+SPLIT_CONFIG = minimal_config(
+    asymmetry_ratio=0.975,
+    sweep={"variable": "q", "values": [0.0, 0.1, 0.3]},
+    gate_error=[0.005, 0.02],
+    meas_error=[0.0, 0.03],
+)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("decomposition", ["three_cnots", "single_gate"])
+def test_sweep_from_shared_prefix_equals_unsplit_points(tmp_path, decomposition, jobs):
+    raw = {**SPLIT_CONFIG, "swap_decomposition": decomposition, "out": str(tmp_path / "rows.csv")}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["sweep", "--config", str(config), "--jobs", str(jobs)]) == 0
+    cfg = config_from_dict(raw)
+    spec = get_protocol("z2b")
+    rows = run_sweep(cfg, jobs=jobs)
+    for g in cfg.gate_error:
+        asym_p = solve_asymmetry(spec, 0.975, g)
+        for m in cfg.meas_error:
+            reference = unsplit_rows(spec, "local_depol", asym_p, cfg.sweep.values, g, m, decomposition)
+            assert rows[g, m] == reference
+            text = (tmp_path / f"rows_g{g:g}_m{m:g}.csv").read_text()
+            assert text == rows_to_csv(reference, 2)
+
+
+def test_sweep_runs_bisection_and_prefix_once_per_gate_error(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return execute_exact(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "execute_exact", counted)
+    cfg = config_from_dict(
+        minimal_config(
+            asymmetry_ratio=0.975,
+            sweep={"variable": "q", "values": [0.0, 0.1, 0.2, 0.3]},
+            gate_error=[0.005, 0.01],
+            meas_error=[0.0, 0.01, 0.03],
+        )
+    )
+    run_sweep(cfg)
+    # per gate error: 21 bisection steps and one prefix; then one suffix per point
+    assert len(calls) == 2 * (21 + 1) + 2 * 3 * 4
+
+
+def test_idle_sweep_runs_once_for_every_error_setting(tmp_path, monkeypatch):
+    runs = []
+    experiment = sweep.idle_distill_experiment
+    monkeypatch.setattr(
+        sweep, "idle_distill_experiment", lambda *a, **kw: runs.append(a) or experiment(*a, **kw)
+    )
+    raw = minimal_config(
+        **IDLE_SWEEP,
+        idle={"calibration": "kyiv_z2b", "chain": [0, 1, 2, 3]},
+        gate_error=[0.0, 0.01],
+        meas_error=[0.0, 0.02],
+        out=str(tmp_path / "idle.csv"),
+    )
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["sweep", "--config", str(config)]) == 0
+    assert len(runs) == 1
+    texts = {(tmp_path / f"idle_g{g:g}_m{m:g}.csv").read_bytes() for g in (0.0, 0.01) for m in (0.0, 0.02)}
+    assert len(texts) == 1
 
 
 def test_asymmetry_ratio_targeting():
@@ -187,9 +290,11 @@ def test_asymmetric_high_fidelity_regime_shows_no_gain_then_gain():
         minimal_config(
             asymmetry_ratio=0.975,
             sweep={"variable": "q", "start": 0.0, "stop": 0.12, "num": 13},
+            gate_error=0.005,
+            meas_error=0.01,
         )
     )
-    rows = run_sweep(cfg, gate_error=0.005, meas_error=0.01)
+    rows = run_sweep(cfg)[0.005, 0.01]
     eps = [r.err_decrease for r in rows if r.f_before > 0.9]
     assert eps[0] < 0  # no improvement at the very top
     assert max(eps) > 0  # improvement appears as fidelity drops
@@ -370,7 +475,7 @@ def test_noiseless_bitflip_sweep_matches_closed_form():
             noise_family="bitflip", sweep={"variable": "q", "start": 0.0, "stop": 0.5, "num": 11}
         )
     )
-    rows = run_sweep(cfg, gate_error=0.0, meas_error=0.0)
+    rows = run_sweep(cfg)[0.0, 0.0]
     for row in rows:
         ref = recurrence_bitflip(row.sweep_value, row.sweep_value)
         assert abs(row.p_accept - ref.p_accept) <= 1e-10
