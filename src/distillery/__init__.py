@@ -40,7 +40,7 @@ from .protocols import (
     build_x2b,
     build_z2b,
     build_zx3b,
-    distill_executed,
+    distill,
     general_distill,
     get_protocol,
     run_protocol,

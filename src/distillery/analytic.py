@@ -244,7 +244,8 @@ class RegionGrid:
 
 DEFAULT_REGION_GRID = RegionGrid()
 
-_REGION_FAMILIES = {
+# closed forms over input noise (p, q), keyed by (protocol, noise family)
+REGION_FAMILIES = {
     ("z2b", "bitflip"): recurrence_bitflip,
     ("z2b", "local_depol"): z2b_local_depol,
     ("zx3b", "local_depol"): zx3b_local_depol,
@@ -256,12 +257,12 @@ def improvement_region(
 ) -> float:
     """Fraction of grid points where distillation strictly improves fidelity."""
     key = (protocol.lower(), noise.lower())
-    if key not in _REGION_FAMILIES:
+    if key not in REGION_FAMILIES:
         raise ValueError(
             f"no closed form for protocol={protocol!r}, noise={noise!r}; "
-            f"supported: {sorted(_REGION_FAMILIES)}"
+            f"supported: {sorted(REGION_FAMILIES)}"
         )
-    fn = _REGION_FAMILIES[key]
+    fn = REGION_FAMILIES[key]
     hits = 0
     total = 0
     for p in grid.axis(grid.p_max):

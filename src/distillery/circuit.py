@@ -167,7 +167,6 @@ class Branch:
 
     outcomes: dict[str, int]
     probability: float
-    weighted_matrix: np.ndarray  # unnormalized, trace = probability
 
 
 @dataclass(frozen=True)
@@ -190,15 +189,15 @@ class ExecutionResult:
 
     @cached_property
     def branches(self) -> tuple[Branch, ...]:
-        """One masked block per outcome, in lexicographic outcome order."""
+        """Every outcome in lexicographic order, with the trace of its block."""
         labels = [label for label, _ in self.measured]
         bits = basis_bits(self.n_qubits)[:, [q for _, q in self.measured]]
+        diagonal = np.diagonal(self.matrix)
         out = []
         for outcome in itertools.product((0, 1), repeat=len(self.measured)):
             mask = np.all(bits == outcome, axis=1)
-            block = np.where(np.outer(mask, mask), self.matrix, 0)
-            p = float(np.real(np.trace(block)))
-            out.append(Branch(dict(zip(labels, outcome)), p, block))
+            p = float(np.real(np.where(mask, diagonal, 0).sum()))
+            out.append(Branch(dict(zip(labels, outcome)), p))
         return tuple(out)
 
     @cached_property

@@ -63,7 +63,7 @@ def cmd_sweep(args) -> int:
     if out_base is None and multiple:
         raise ConfigError("out: an output path is required when gate/meas errors are lists")
     spec = get_protocol(config.protocol)
-    results = run_sweep(config, jobs=args.jobs)
+    results = run_sweep(config)
     for g, m in combos:
         text = rows_to_csv(results[g, m], spec.n_pairs)
         _write_text(None if out_base is None else _out_path_for(out_base, g, m, multiple), text)
@@ -79,27 +79,20 @@ def cmd_validate_config(args) -> int:
 def cmd_analytic(args) -> int:
     proto = args.protocol.lower()
     family = args.family.lower()
-    if family == "bitflip":
-        if proto != "z2b":
-            raise ConfigError("analytic: bit-flip closed form is for the z2b protocol")
-        res = analytic.recurrence_bitflip(args.p, args.q)
-    elif family == "local_depol":
-        if proto == "z2b":
-            res = analytic.z2b_local_depol(args.p, args.q)
-        elif proto == "zx3b":
-            res = analytic.zx3b_local_depol(args.p, args.q)
-        else:
-            raise ConfigError(f"analytic: no local depolarizing closed form for {proto!r}")
-    elif family == "global_depol":
+    if family == "global_depol":
         if args.lam is None:
             raise ConfigError("analytic: global_depol requires --lam")
         res = analytic.global_depol_distill(proto, args.lam)
+        params = {"lam": args.lam}
+    elif (proto, family) in analytic.REGION_FAMILIES:
+        res = analytic.REGION_FAMILIES[proto, family](args.p, args.q)
+        params = {"p": args.p, "q": args.q}
     else:
+        supported = ", ".join(f"{p} {f}" for p, f in sorted(analytic.REGION_FAMILIES))
         raise ConfigError(
-            f"analytic: unknown noise family {args.family!r} "
-            "(expected bitflip, local_depol, or global_depol)"
+            f"analytic: no closed form for protocol {proto!r} with noise family {args.family!r} "
+            f"(supported: {supported}, and global_depol for every protocol)"
         )
-    params = {"lam": args.lam} if family == "global_depol" else {"p": args.p, "q": args.q}
     payload = {
         "protocol": proto,
         "noise_family": family,
@@ -225,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter sweep from a JSON config, emit CSV")
     p.add_argument("--config", required=True, help="sweep configuration JSON")
     p.add_argument("--out", default=None, help="output CSV path (default: config 'out' or stdout)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for grid points")
     p.add_argument("--print-config", action="store_true", help="print the resolved config and exit")
     p.set_defaults(fn=cmd_sweep)
 

@@ -2,8 +2,10 @@
 
 Covers: loading per-qubit T1/T2/readout and per-edge ZZ-rate/gate-error
 records, idle-noise sequences (Trotterized always-on ZZ plus damping and
-dephasing, with optional staggered echo pulses), the idle-then-distill
-experiments, and mirror two-qubit-Clifford layers for noise twirling.
+dephasing, with optional staggered echo pulses), the staged prefix
+(preparation, asymmetry, swaps) that sweeps and idle experiments start from,
+the idle-then-distill experiments, and mirror two-qubit-Clifford layers for
+noise twirling.
 
 Chains of physical qubits are mapped to register indices by position: the
 qubit at chain position i is register qubit i, and chain edges (i, i+1) must
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import bit_flip, damping_dephasing, gp_from_t1t2
+from .channels import bit_flip, damping_dephasing, depolarizing_local, gp_from_t1t2
 from .circuit import (
     Barrier,
     ChannelOp,
@@ -31,7 +33,7 @@ from .circuit import (
     with_gate_noise,
 )
 from .densop import DensityOperator, bell_fidelity_matrix, bell_pairs_on, ground_state
-from .protocols import ProtocolSpec, SweepRow, distill_executed
+from .protocols import ProtocolSpec, SweepRow, distill
 
 
 class CalibrationError(ValueError):
@@ -212,17 +214,18 @@ def idle_sequence(
         return []
     n = spec.n_segments
     dt = spec.duration_us / n
-    edge_angles = []
+    # every segment repeats the same elements, so each is built once per window
+    zz_phases: list[CircuitElement] = []
     if spec.zz_enabled:
         for pos in range(len(chain) - 1):
             rate = calib.edge(chain[pos], chain[pos + 1]).zz_rate
-            edge_angles.append((pos, 2.0 * math.pi * rate * dt * 1e-6))
-    pulse_after: dict[int, list[int]] = {}
+            zz_phases.append(Gate("CPhase", (pos, pos + 1), 2.0 * math.pi * rate * dt * 1e-6))
+    pulse_after: dict[int, list[CircuitElement]] = {}
     if spec.dd_mode == "staggered":
         for pos in range(len(chain)):
             segs = (n // 2, n) if pos % 2 == 0 else (n // 4, 3 * n // 4)
             for s in segs:
-                pulse_after.setdefault(s, []).append(pos)
+                pulse_after.setdefault(s, []).append(Gate("X", (pos,)))
     damping: list[CircuitElement] = []
     if include_damping:
         for pos, qid in enumerate(chain):
@@ -231,10 +234,8 @@ def idle_sequence(
     elements: list[CircuitElement] = []
     for k in range(1, n + 1):
         elements.extend(damping)
-        for pos, angle in edge_angles:
-            elements.append(Gate("CPhase", (pos, pos + 1), angle))
-        for pos in pulse_after.get(k, ()):
-            elements.append(Gate("X", (pos,)))
+        elements.extend(zz_phases)
+        elements.extend(pulse_after.get(k, ()))
     return elements
 
 
@@ -253,23 +254,30 @@ def _swap_elements(a: int, b: int, decomposition: str) -> list[CircuitElement]:
 
 
 REORDER_SWAPS = {2: [(1, 2)], 3: [(1, 2), (3, 4), (2, 3)]}
+# qubits whose extra depolarizing sets up the pair asymmetry
+ASYMMETRY_QUBITS = {2: (0,), 3: (0, 4)}
 
 
-def _prep_and_swap_stage(
-    n_pairs: int, decomposition: str
-) -> tuple[list[CircuitElement], list[CircuitElement]]:
-    """Local Bell preparation and the reordering swaps that de-localize pairs.
+def staged_prefix(
+    n_pairs: int, swap_decomposition: str, asymmetry_p: float = 0.0
+) -> list[CircuitElement]:
+    """Local Bell preparation, the asymmetry channel, barrier t0, the swaps
+    that de-localize the pairs, and barrier t1; nothing is measured.
 
     The gates are ideal; callers add gate noise with :func:`with_gate_noise`.
     """
-    prep: list[CircuitElement] = []
+    elements: list[CircuitElement] = []
     for a, b in [(2 * j, 2 * j + 1) for j in range(n_pairs)]:
-        prep.append(Gate("H", (a,)))
-        prep.append(Gate("CNOT", (a, b)))
-    swap_stage: list[CircuitElement] = []
+        elements.append(Gate("H", (a,)))
+        elements.append(Gate("CNOT", (a, b)))
+    if asymmetry_p > 0:
+        for q in ASYMMETRY_QUBITS[n_pairs]:
+            elements.append(ChannelOp(depolarizing_local(asymmetry_p, qubit=q)))
+    elements.append(Barrier("t0"))
     for a, b in REORDER_SWAPS[n_pairs]:
-        swap_stage.extend(_swap_elements(a, b, decomposition))
-    return prep, swap_stage
+        elements.extend(_swap_elements(a, b, swap_decomposition))
+    elements.append(Barrier("t1"))
+    return elements
 
 
 def _check_stage(spec: ProtocolSpec, meas_error_of, meas_delay_damping) -> list[CircuitElement]:
@@ -313,8 +321,7 @@ def idle_distill_experiment(
     edge_err = lambda a, b: calib.edge(chain[a], chain[b]).gate_error
     meas_err = lambda pos: calib.qubit(chain[pos]).meas_error
 
-    prep, swap_stage = _prep_and_swap_stage(spec.n_pairs, swap_decomposition)
-    before_idle = with_gate_noise(prep + [Barrier("t0")] + swap_stage + [Barrier("t1")], edge_err)
+    before_idle = with_gate_noise(staged_prefix(spec.n_pairs, swap_decomposition), edge_err)
     at_t1 = execute_exact(before_idle, ground_state(spec.n_qubits)).snapshots["t1"]
     meas_delay_damping = []
     if calib.meas_delay > 0 and not perfect_coherence:
@@ -330,12 +337,9 @@ def idle_distill_experiment(
         idle_stage = idle_sequence(
             chain, replace(idle, duration_us=delay), calib, include_damping=not perfect_coherence
         )
-        result = execute_exact(idle_stage + [Barrier("t2")] + check, at_t1)
-        at_t2 = result.snapshots["t2"].matrix
-        fids = tuple(
-            bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs
-        )
-        out = distill_executed(result, spec, max(fids))
+        at_t2 = execute_exact(idle_stage, at_t1).matrix
+        fids = tuple(bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs)
+        out = distill(spec, at_t2, check)
         rows.append(SweepRow(float(delay), fids, out.f_before, out.f_after, out.p_accept))
     return rows
 
@@ -417,8 +421,6 @@ def mirror_twirl_experiment(
             layers = with_gate_noise(mirror_clifford_layers(k, rng), uniform_error)
             result = execute_exact(layers, init)
             acc += result.unconditional_state().matrix
-        avg = DensityOperator(n, acc / n_seeds)
-        f_before = max(bell_fidelity_matrix(avg.matrix, pair, n) for pair in spec.pairs)
-        out = distill_executed(execute_exact(spec.circuit, avg), spec, f_before)
+        out = distill(spec, acc / n_seeds)
         points.append(TwirlPoint(k, out.f_before, out.f_after, out.p_accept))
     return points

@@ -19,9 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .circuit import BASIS_ROTATIONS
 from .densop import (
-    HADAMARD,
-    SDG_GATE,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     DensityOperator,
     apply_matrix,
     partial_trace_matrix,
@@ -67,12 +69,9 @@ class FidelityEstimate:
 def direct_fidelity_exact(rho: DensityOperator, pair: tuple[int, int]) -> float:
     """Bell fidelity from the three Pauli expectations; equals <phi|rho|phi>."""
     red = partial_trace_matrix(rho.matrix, pair, rho.n_qubits)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    ezz = float(np.real(np.trace(np.kron(z, z) @ red)))
-    exx = float(np.real(np.trace(np.kron(x, x) @ red)))
-    eyy = float(np.real(np.trace(np.kron(y, y) @ red)))
+    ezz = float(np.real(np.trace(np.kron(PAULI_Z, PAULI_Z) @ red)))
+    exx = float(np.real(np.trace(np.kron(PAULI_X, PAULI_X) @ red)))
+    eyy = float(np.real(np.trace(np.kron(PAULI_Y, PAULI_Y) @ red)))
     return (1.0 + ezz + exx - eyy) / 4.0
 
 
@@ -83,7 +82,7 @@ def outcome_distribution(
     if basis not in BASES:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
     red = partial_trace_matrix(rho.matrix, pair, rho.n_qubits)
-    rot = {"ZZ": None, "XX": HADAMARD, "YY": HADAMARD @ SDG_GATE}[basis]
+    rot = BASIS_ROTATIONS[basis[0]]
     if rot is not None:
         red = apply_matrix(red, rot, (0,), 2)
         red = apply_matrix(red, rot, (1,), 2)

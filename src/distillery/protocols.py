@@ -19,7 +19,6 @@ from .channels import Channel as NoiseChannel
 from .channels import apply_channel_matrix
 from .circuit import (
     CircuitElement,
-    ExecutionResult,
     Gate,
     Measure,
     NothingAcceptedError,
@@ -187,14 +186,25 @@ def get_protocol(name: str) -> ProtocolSpec:
         raise ValueError(f"unknown protocol {name!r}; expected one of {PROTOCOL_NAMES}") from None
 
 
-def distill_executed(result: ExecutionResult, spec: ProtocolSpec, f_before: float) -> Outcome:
-    """Post-select an executed check circuit and score the kept pair.
+def distill(
+    spec: ProtocolSpec,
+    rho: np.ndarray,
+    check: Sequence[CircuitElement] | None = None,
+    meas_error: float = 0.0,
+) -> Outcome:
+    """One recurrence step from the register state right before the checks.
 
-    Raises NothingAcceptedError when no branch passes the checks.
+    F_b is the best Bell fidelity over the spec's pairs. ``check`` (default
+    the spec's perfect circuit) runs from ``rho`` with readout error
+    ``meas_error``; the accepted outcomes are kept and the kept pair scored.
+    Raises NothingAcceptedError when no outcome passes the checks.
     """
+    n = spec.n_qubits
+    f_before = max(bell_fidelity_matrix(rho, pair, n) for pair in spec.pairs)
+    circuit = spec.circuit if check is None else check
+    result = execute_exact(circuit, DensityOperator(n, rho), meas_error)
     p_accept, kept = postselect(result, spec.accepts)
-    f_after = bell_fidelity_matrix(kept.matrix, spec.kept_pair, spec.n_qubits)
-    return Outcome(f_before, f_after, p_accept)
+    return Outcome(f_before, bell_fidelity_matrix(kept.matrix, spec.kept_pair, n), p_accept)
 
 
 def run_protocol(spec: ProtocolSpec, input_noise: Sequence[NoiseChannel] = ()) -> Outcome:
@@ -211,9 +221,7 @@ def run_protocol(spec: ProtocolSpec, input_noise: Sequence[NoiseChannel] = ()) -
             if not 0 <= q < n:
                 raise ValueError(f"input noise qubit {q} out of range")
         rho = apply_channel_matrix(rho, ch, n)
-    f_before = max(bell_fidelity_matrix(rho, pair, n) for pair in spec.pairs)
-    result = execute_exact(spec.circuit, DensityOperator(n, rho))
-    return distill_executed(result, spec, f_before)
+    return distill(spec, rho)
 
 
 def general_distill(

@@ -6,21 +6,20 @@ waiting error (the swept variable), and finally runs the protocol's check
 stage. Gate noise is a uniform-strength channel after every two-qubit gate
 (:func:`with_gate_noise`); readout noise is the executor's outcome flip.
 Each grid point yields one CSV row; rows carry the per-pair fidelities at the
-first barrier, the pre-distillation fidelity at the last barrier, and the
+first barrier, the pre-distillation fidelity right before the checks, and the
 post-selected outcome.
 
-Everything before the waiting error depends only on the protocol, the gate
-error, the asymmetry and the swap decomposition, so a sweep runs that prefix
-once per gate error and continues every point from its state at barrier t1.
+Everything before the waiting error (:func:`device.staged_prefix`) depends
+only on the protocol, the gate error, the asymmetry and the swap
+decomposition, so a sweep runs that prefix once per gate error and continues
+every point from its state at barrier t1.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Sequence
 
@@ -38,12 +37,12 @@ from .circuit import (
 from .densop import DensityOperator, bell_fidelity_matrix, ground_state
 from .device import (
     IdleSpec,
-    _prep_and_swap_stage,
     bundled_calibration_path,
     idle_distill_experiment,
     load_calibration,
+    staged_prefix,
 )
-from .protocols import ProtocolSpec, SweepRow, distill_executed, get_protocol
+from .protocols import ProtocolSpec, SweepRow, distill, get_protocol
 
 CSV_HEADER_COMMENT = "# distillery-csv v1"
 
@@ -57,10 +56,8 @@ SWEEP_RANGES = {
     "idle": ("idle delays", 0.0, math.inf),
 }
 
-# qubits carrying the waiting error (one half of each non-local pair) and the
-# qubits whose extra depolarizing sets up the pair asymmetry
+# qubits carrying the waiting error (one half of each non-local pair)
 WAIT_QUBITS = {2: (1, 2), 3: (3, 4, 5)}
-ASYMMETRY_QUBITS = {2: (0,), 3: (0, 4)}
 LOCAL_PAIRS = {2: ((0, 1), (2, 3)), 3: ((0, 1), (2, 3), (4, 5))}
 
 
@@ -69,10 +66,13 @@ class ConfigError(ValueError):
 
 
 def _convert(kind, value, name: str):
-    """``kind(value)``, or a ConfigError naming the field."""
+    """``kind(value)``, or a ConfigError naming the field; ints must be integral."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        out = kind(value)
+        if isinstance(value, bool) or (kind is int and isinstance(value, float) and out != value):
+            raise ValueError(value)
+        return out
+    except (TypeError, ValueError, OverflowError):
         expected = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name}: expected {expected}, got {value!r}") from None
 
@@ -170,6 +170,9 @@ class SweepConfig:
             raise ConfigError(f"asymmetry_p: must be in [0, 1], got {self.asymmetry_p}")
         if self.asymmetry_ratio is not None and not 0.0 < self.asymmetry_ratio <= 1.0:
             raise ConfigError(f"asymmetry_ratio: must be in (0, 1], got {self.asymmetry_ratio}")
+        for name, errors in (("gate_error", self.gate_error), ("meas_error", self.meas_error)):
+            if not errors:
+                raise ConfigError(f"{name}: expected at least one value, got []")
         for g in self.gate_error:
             if not 0.0 <= g <= 1.0:
                 raise ConfigError(f"gate_error: must be in [0, 1], got {g}")
@@ -298,27 +301,6 @@ def _wait_elements(family: str, n_pairs: int, value: float, n_qubits: int) -> li
     raise ConfigError(f"noise_family: no waiting channel for {family!r}")
 
 
-def _prefix_elements(
-    spec: ProtocolSpec, asymmetry_p: float, swap_decomposition: str
-) -> list[CircuitElement]:
-    """Prep, asymmetry and swaps, ending at barrier t1; nothing is measured."""
-    prep, swap_stage = _prep_and_swap_stage(spec.n_pairs, swap_decomposition)
-    elements = list(prep)
-    if asymmetry_p > 0:
-        for q in ASYMMETRY_QUBITS[spec.n_pairs]:
-            elements.append(ChannelOp(depolarizing_local(asymmetry_p, qubit=q)))
-    elements.append(Barrier("t0"))
-    elements.extend(swap_stage)
-    elements.append(Barrier("t1"))
-    return elements
-
-
-def _suffix_elements(spec: ProtocolSpec, family: str, wait_value: float) -> list[CircuitElement]:
-    """The waiting error, barrier t2, then the protocol's checks."""
-    wait = _wait_elements(family, spec.n_pairs, wait_value, spec.n_qubits)
-    return [*wait, Barrier("t2"), *spec.circuit]
-
-
 def build_staged_circuit(
     spec: ProtocolSpec,
     family: str,
@@ -326,14 +308,14 @@ def build_staged_circuit(
     wait_value: float,
     swap_decomposition: str = "three_cnots",
 ) -> list[CircuitElement]:
-    """Prep, asymmetry, swap, waiting error, then the protocol's checks.
+    """Prep, asymmetry, swap, waiting error, barrier t2, then the protocol's checks.
 
     The gates are ideal, so the asymmetry and waiting channels are the only
     noise here; :func:`run_staged_point` adds the gate noise.
     """
-    return _prefix_elements(spec, asymmetry_p, swap_decomposition) + _suffix_elements(
-        spec, family, wait_value
-    )
+    wait = _wait_elements(family, spec.n_pairs, wait_value, spec.n_qubits)
+    prefix = staged_prefix(spec.n_pairs, swap_decomposition, asymmetry_p)
+    return [*prefix, *wait, Barrier("t2"), *spec.circuit]
 
 
 def _run_prefix(
@@ -341,7 +323,7 @@ def _run_prefix(
 ) -> tuple[tuple[float, ...], DensityOperator]:
     """The per-pair fidelities at t0 and the state at t1, for every point sharing this prefix."""
     circuit = with_gate_noise(
-        _prefix_elements(spec, asymmetry_p, swap_decomposition), lambda a, b: gate_error
+        staged_prefix(spec.n_pairs, swap_decomposition, asymmetry_p), lambda a, b: gate_error
     )
     snapshots = execute_exact(circuit, ground_state(spec.n_qubits)).snapshots
     at_t0 = snapshots["t0"].matrix
@@ -360,14 +342,14 @@ def _run_point(
     fids: tuple[float, ...],
     at_t1: DensityOperator,
 ) -> SweepRow:
-    """One grid point: the wait and check stages, continued from the prefix's t1 state."""
-    circuit = with_gate_noise(_suffix_elements(spec, family, wait_value), lambda a, b: gate_error)
-    result = execute_exact(circuit, at_t1, meas_error)
-    at_t2 = result.snapshots["t2"].matrix
-    f_before = max(bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs)
+    """One grid point: the wait from the prefix's t1 state, then the noisy checks."""
+    wait = _wait_elements(family, spec.n_pairs, wait_value, spec.n_qubits)
+    at_t2 = execute_exact(wait, at_t1).matrix
+    check = with_gate_noise(spec.circuit, lambda a, b: gate_error)
     try:
-        out = distill_executed(result, spec, f_before)
+        out = distill(spec, at_t2, check, meas_error)
     except NothingAcceptedError:
+        f_before = max(bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs)
         return SweepRow(wait_value, fids, f_before, None, 0.0)
     return SweepRow(wait_value, fids, out.f_before, out.f_after, out.p_accept)
 
@@ -390,7 +372,7 @@ def pair_fidelities_at_prep(
     spec: ProtocolSpec, asymmetry_p: float, gate_error: float = 0.0
 ) -> tuple[float, ...]:
     """Per-pair fidelities at the first barrier, before any swap."""
-    circuit = _prefix_elements(spec, asymmetry_p, "single_gate")
+    circuit = staged_prefix(spec.n_pairs, "single_gate", asymmetry_p)
     cut = circuit[: circuit.index(Barrier("t0")) + 1]
     cut = with_gate_noise(cut, lambda a, b: gate_error)
     result = execute_exact(cut, ground_state(spec.n_qubits))
@@ -457,41 +439,32 @@ def _idle_rows(config: SweepConfig) -> list[SweepRow]:
     )
 
 
-def _point_task(task) -> SweepRow:
-    return _run_point(*task)
-
-
-def run_sweep(config: SweepConfig, jobs: int = 1) -> dict[tuple[float, float], list[SweepRow]]:
+def run_sweep(config: SweepConfig) -> dict[tuple[float, float], list[SweepRow]]:
     """The rows of every (gate error, readout error) setting of the config.
 
     A staged sweep solves the asymmetry and runs the prefix once per gate
     error; every (readout error, swept value) point continues from that
-    prefix's t1 state, in ``jobs`` worker processes when ``jobs > 1``. An idle
-    sweep takes its noise from the calibration, so it runs once and every
-    setting gets the same rows.
+    prefix's t1 state. An idle sweep takes its noise from the calibration, so
+    it runs once and every setting gets the same rows.
     """
     gate_errors = list(dict.fromkeys(config.gate_error))
     meas_errors = list(dict.fromkeys(config.meas_error))
-    grid = [(g, m) for g in gate_errors for m in meas_errors]
     if config.noise_family == "idle":
         rows = _idle_rows(config)
-        return {key: rows for key in grid}
+        return {(g, m): rows for g in gate_errors for m in meas_errors}
     spec = get_protocol(config.protocol)
-    tasks = []
+    results = {}
     for g in gate_errors:
         asym_p = config.asymmetry_p
         if config.asymmetry_ratio is not None:
             asym_p = solve_asymmetry(spec, config.asymmetry_ratio, g)
         fids, at_t1 = _run_prefix(spec, asym_p, g, config.swap_decomposition)
         for m in meas_errors:
-            tasks += [(spec, config.noise_family, v, g, m, fids, at_t1) for v in config.sweep.values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("spawn")) as pool:
-            rows = list(pool.map(_point_task, tasks))
-    else:
-        rows = list(map(_point_task, tasks))
-    n = len(config.sweep.values)
-    return {key: rows[i * n : (i + 1) * n] for i, key in enumerate(grid)}
+            results[g, m] = [
+                _run_point(spec, config.noise_family, v, g, m, fids, at_t1)
+                for v in config.sweep.values
+            ]
+    return results
 
 
 # ---------------------------------------------------------------------------

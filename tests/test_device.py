@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from distillery.channels import channel_superoperator, damping_dephasing, gp_from_t1t2
-from distillery.circuit import Barrier, ChannelOp, execute_exact, with_gate_noise
+from distillery.circuit import Barrier, ChannelOp, execute_exact, postselect, with_gate_noise
 from distillery.densop import (
     DensityOperator,
     bell_fidelity_matrix,
@@ -20,7 +20,6 @@ from distillery.device import (
     IdleSpec,
     QubitCalibration,
     _check_stage,
-    _prep_and_swap_stage,
     bundled_calibration_path,
     calibration_to_dict,
     idle_distill_experiment,
@@ -29,8 +28,9 @@ from distillery.device import (
     mirror_clifford_layers,
     mirror_twirl_experiment,
     save_calibration,
+    staged_prefix,
 )
-from distillery.protocols import SweepRow, build_z2b, build_zx3b, distill_executed
+from distillery.protocols import SweepRow, build_z2b, build_zx3b
 
 
 def coherent_calib(n, zz_rate):
@@ -196,7 +196,7 @@ def test_idle_experiment_from_shared_prefix_equals_unsplit_delays(spec, calibrat
     rows = idle_distill_experiment(spec, chain, calib, delays, idle)
 
     edge_err = lambda a, b: calib.edge(chain[a], chain[b]).gate_error
-    prep, swap_stage = _prep_and_swap_stage(spec.n_pairs, "three_cnots")
+    prefix = with_gate_noise(staged_prefix(spec.n_pairs, "three_cnots"), edge_err)
     damping = []
     for pos in spec.kept_pair:
         q = calib.qubit(chain[pos])
@@ -205,7 +205,7 @@ def test_idle_experiment_from_shared_prefix_equals_unsplit_delays(spec, calibrat
     for delay, row in zip(delays, rows, strict=True):
         # each delay as one whole circuit from the ground state, sharing nothing
         circuit = (
-            with_gate_noise(prep + [Barrier("t0")] + swap_stage + [Barrier("t1")], edge_err)
+            prefix
             + idle_sequence(chain, IdleSpec(delay, 16, "staggered", True), calib)
             + [Barrier("t2")]
             + with_gate_noise(check, edge_err)
@@ -213,8 +213,9 @@ def test_idle_experiment_from_shared_prefix_equals_unsplit_delays(spec, calibrat
         result = execute_exact(circuit, ground_state(spec.n_qubits))
         at_t2 = result.snapshots["t2"].matrix
         fids = tuple(bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs)
-        out = distill_executed(result, spec, max(fids))
-        assert row == SweepRow(delay, fids, out.f_before, out.f_after, out.p_accept)
+        p_accept, kept = postselect(result, spec.accepts)
+        f_after = bell_fidelity_matrix(kept.matrix, spec.kept_pair, spec.n_qubits)
+        assert row == SweepRow(delay, fids, max(fids), f_after, p_accept)
 
 
 def test_chain_length_must_match_protocol():

@@ -3,11 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from distillery import cli, sweep
+from distillery import cli, protocols, sweep
 from distillery.analytic import global_depol_distill, z2b_local_depol
-from distillery.circuit import execute_exact, with_gate_noise
+from distillery.circuit import Barrier, execute_exact, postselect, with_gate_noise
 from distillery.densop import bell_fidelity_matrix, ground_state
-from distillery.protocols import SweepRow, distill_executed, get_protocol
+from distillery.protocols import SweepRow, get_protocol
 from distillery.sweep import (
     CSV_HEADER_COMMENT,
     LOCAL_PAIRS,
@@ -115,6 +115,17 @@ IDLE_SWEEP = {"noise_family": "idle", "sweep": {"variable": "delay", "values": [
             "idle.n_segments",
         ),
         ({**IDLE_SWEEP, "idle": {"calibration": "kyiv_z2b", "chain": [0, 1, 2]}}, "idle.chain"),
+        (
+            {**IDLE_SWEEP, "idle": {"calibration": "kyiv_z2b", "chain": [0, 1, 2, 3], "n_segments": 8.9}},
+            "idle.n_segments",
+        ),
+        ({"sweep": {"start": 0.0, "stop": 0.5, "num": 2.7}}, "sweep.num"),
+        ({**IDLE_SWEEP, "idle": {"calibration": "kyiv_z2b", "chain": [0, 1.5, 2, 3]}}, "idle.chain"),
+        ({"gate_error": []}, "gate_error"),
+        ({"meas_error": []}, "meas_error"),
+        ({"sweep": {"start": 0.0, "stop": 0.5, "num": float("inf")}}, "sweep.num"),
+        ({"sweep": {"start": 0.0, "stop": 0.5, "num": True}}, "sweep.num"),
+        ({"gate_error": True}, "gate_error"),
     ],
 )
 @pytest.mark.parametrize("command", ["validate-config", "sweep"])
@@ -180,17 +191,6 @@ def test_csv_shape_and_determinism():
     assert len(lines) == 2 + len(cfg.sweep.values)
 
 
-def test_worker_pool_preserves_row_order():
-    cfg = config_from_dict(
-        minimal_config(sweep={"variable": "q", "values": [0.0, 0.2, 0.4, 0.6]}, gate_error=0.01)
-    )
-    serial = run_sweep(cfg, jobs=1)[0.01, 0.0]
-    parallel = run_sweep(cfg, jobs=3)[0.01, 0.0]
-    assert [r.sweep_value for r in parallel] == [r.sweep_value for r in serial]
-    for a, b in zip(serial, parallel):
-        assert a.f_after == pytest.approx(b.f_after, abs=1e-15)
-
-
 def unsplit_rows(spec, family, asymmetry_p, values, g, m, decomposition):
     """Each point as one whole circuit from the ground state, sharing nothing."""
     rows = []
@@ -201,8 +201,9 @@ def unsplit_rows(spec, family, asymmetry_p, values, g, m, decomposition):
         n = spec.n_qubits
         fids = tuple(bell_fidelity_matrix(at_t0, pair, n) for pair in LOCAL_PAIRS[spec.n_pairs])
         f_before = max(bell_fidelity_matrix(at_t2, pair, n) for pair in spec.pairs)
-        out = distill_executed(result, spec, f_before)
-        rows.append(SweepRow(v, fids, f_before, out.f_after, out.p_accept))
+        p_accept, kept = postselect(result, spec.accepts)
+        f_after = bell_fidelity_matrix(kept.matrix, spec.kept_pair, n)
+        rows.append(SweepRow(v, fids, f_before, f_after, p_accept))
     return rows
 
 
@@ -214,16 +215,15 @@ SPLIT_CONFIG = minimal_config(
 )
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("decomposition", ["three_cnots", "single_gate"])
-def test_sweep_from_shared_prefix_equals_unsplit_points(tmp_path, decomposition, jobs):
+def test_sweep_from_shared_prefix_equals_unsplit_points(tmp_path, decomposition):
     raw = {**SPLIT_CONFIG, "swap_decomposition": decomposition, "out": str(tmp_path / "rows.csv")}
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(raw))
-    assert cli.main(["sweep", "--config", str(config), "--jobs", str(jobs)]) == 0
+    assert cli.main(["sweep", "--config", str(config)]) == 0
     cfg = config_from_dict(raw)
     spec = get_protocol("z2b")
-    rows = run_sweep(cfg, jobs=jobs)
+    rows = run_sweep(cfg)
     for g in cfg.gate_error:
         asym_p = solve_asymmetry(spec, 0.975, g)
         for m in cfg.meas_error:
@@ -241,6 +241,7 @@ def test_sweep_runs_bisection_and_prefix_once_per_gate_error(monkeypatch):
         return execute_exact(*args, **kwargs)
 
     monkeypatch.setattr(sweep, "execute_exact", counted)
+    monkeypatch.setattr(protocols, "execute_exact", counted)
     cfg = config_from_dict(
         minimal_config(
             asymmetry_ratio=0.975,
@@ -250,8 +251,12 @@ def test_sweep_runs_bisection_and_prefix_once_per_gate_error(monkeypatch):
         )
     )
     run_sweep(cfg)
-    # per gate error: 21 bisection steps and one prefix; then one suffix per point
-    assert len(calls) == 2 * (21 + 1) + 2 * 3 * 4
+    prefixes = [c for c in calls if Barrier("t1") in c]
+    bisection = [c for c in calls if Barrier("t0") in c and Barrier("t1") not in c]
+    # per gate error: 21 bisection steps and one prefix; then a wait and a check per point
+    assert len(prefixes) == 2
+    assert len(bisection) == 2 * 21
+    assert len(calls) == 2 * (21 + 1) + 2 * 2 * 3 * 4
 
 
 def test_idle_sweep_runs_once_for_every_error_setting(tmp_path, monkeypatch):
