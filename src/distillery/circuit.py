@@ -170,12 +170,6 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
-    labels: tuple[str, ...]
-    joint_probabilities: dict[tuple[int, ...], float]
-
-
-@dataclass(frozen=True)
 class ExecutionResult:
     """The final state; ``measured`` lists ``(label, qubit)`` in measurement order.
 
@@ -199,11 +193,6 @@ class ExecutionResult:
             p = float(np.real(np.where(mask, diagonal, 0).sum()))
             out.append(Branch(dict(zip(labels, outcome)), p))
         return tuple(out)
-
-    @cached_property
-    def record(self) -> MeasurementRecord:
-        joint = {tuple(b.outcomes.values()): b.probability for b in self.branches}
-        return MeasurementRecord(tuple(label for label, _ in self.measured), joint)
 
     def unconditional_state(self) -> DensityOperator:
         return DensityOperator(self.n_qubits, self.matrix)
@@ -290,21 +279,6 @@ def execute_exact(
 
 
 AgreementRule = Callable[[Mapping[str, int]], bool]
-
-
-def parity_agreement(checks: Sequence[tuple[Sequence[str], Sequence[str]]]) -> AgreementRule:
-    """Accept when, for each check, the two label groups have equal parity."""
-    frozen = [(tuple(a), tuple(b)) for a, b in checks]
-
-    def rule(outcomes: Mapping[str, int]) -> bool:
-        for group_a, group_b in frozen:
-            pa = sum(outcomes[l] for l in group_a) % 2
-            pb = sum(outcomes[l] for l in group_b) % 2
-            if pa != pb:
-                return False
-        return True
-
-    return rule
 
 
 def postselect(result: ExecutionResult, rule: AgreementRule) -> tuple[float, DensityOperator]:

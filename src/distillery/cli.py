@@ -17,13 +17,7 @@ from pathlib import Path
 from . import analytic
 from .circuit import NothingAcceptedError, circuit_from_json, execute_exact, with_gate_noise
 from .densop import DensityOperator, bell_fidelity_matrix, bell_pairs_on, ground_state
-from .device import (
-    CalibrationError,
-    IdleSpec,
-    bundled_calibration_path,
-    idle_distill_experiment,
-    load_calibration,
-)
+from .device import DD_MODES, CalibrationError, IdleSpec, idle_distill_experiment, load_calibration
 from .protocols import PROTOCOL_NAMES, get_protocol
 from .sweep import (
     ConfigError,
@@ -152,40 +146,34 @@ def _parse_delays(text: str) -> list[float]:
 
 
 def cmd_simulate_idle(args) -> int:
-    path = Path(args.calibration)
-    if not path.exists():
-        path = bundled_calibration_path(args.calibration)
-    calib = load_calibration(path)
+    calib = load_calibration(args.calibration)
     spec = get_protocol(args.protocol)
     chain = _parse_chain(args.chain)
     delays = _parse_delays(args.delays)
-    idle = IdleSpec(
-        duration_us=0.0,
+    model = IdleSpec(
         n_segments=args.segments,
         dd_mode=args.dd,
         zz_enabled=not args.no_zz,
-    )
-    rows = idle_distill_experiment(
-        spec,
-        chain,
-        calib,
-        delays,
-        idle,
-        swap_decomposition=args.swap_decomposition,
         perfect_coherence=args.perfect_coherence,
     )
+    rows = idle_distill_experiment(spec, chain, calib, delays, model, args.swap_decomposition)
     _write_text(args.out, rows_to_csv(rows, spec.n_pairs, idle=True))
     return EXIT_OK
+
+
+def _parse_pair(text: str, sep: str, option: str) -> tuple[int, int]:
+    try:
+        a, b = (int(tok) for tok in text.split(sep))
+    except ValueError:
+        raise ConfigError(f"{option}: expected two qubits as 'a{sep}b', got {text!r}") from None
+    return a, b
 
 
 def cmd_simulate(args) -> int:
     circuit = circuit_from_json(Path(args.circuit).read_text())
     n = args.qubits
     if args.init_bell_pairs:
-        pairs = []
-        for tok in args.init_bell_pairs.split(","):
-            a, b = tok.split("-")
-            pairs.append((int(a), int(b)))
+        pairs = [_parse_pair(tok, "-", "init-bell-pairs") for tok in args.init_bell_pairs.split(",")]
         init = DensityOperator(n, bell_pairs_on(pairs, n))
     else:
         init = ground_state(n)
@@ -194,16 +182,15 @@ def cmd_simulate(args) -> int:
     circuit = with_gate_noise(circuit, lambda a, b: args.gate_error)
     result = execute_exact(circuit, init, args.meas_error)
     payload = {
-        "labels": list(result.record.labels),
+        "labels": [label for label, _ in result.measured],
         "outcomes": {
-            "".join(str(b) for b in outcome): prob
-            for outcome, prob in sorted(result.record.joint_probabilities.items())
+            "".join(str(bit) for bit in b.outcomes.values()): b.probability for b in result.branches
         },
     }
     if args.fidelity_pair:
-        a, b = (int(t) for t in args.fidelity_pair.split(","))
+        pair = _parse_pair(args.fidelity_pair, ",", "fidelity-pair")
         state = result.unconditional_state()
-        payload["bell_fidelity"] = bell_fidelity_matrix(state.matrix, (a, b), n)
+        payload["bell_fidelity"] = bell_fidelity_matrix(state.matrix, pair, n)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -240,8 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", required=True, choices=list(PROTOCOL_NAMES))
     p.add_argument("--chain", required=True, help="comma-separated physical qubit ids")
     p.add_argument("--delays", required=True, help="'start:stop:step' in us, or comma list")
-    p.add_argument("--segments", type=int, default=16, help="Trotter segments per idle window")
-    p.add_argument("--dd", choices=["none", "staggered"], default="staggered")
+    p.add_argument(
+        "--segments", type=int, default=IdleSpec.n_segments, help="Trotter segments per idle window"
+    )
+    p.add_argument("--dd", choices=list(DD_MODES), default=IdleSpec.dd_mode)
     p.add_argument("--no-zz", action="store_true", help="disable ZZ crosstalk")
     p.add_argument("--perfect-coherence", action="store_true", help="drop all T1/T2 damping")
     p.add_argument(

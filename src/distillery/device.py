@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -144,6 +144,12 @@ def calibration_to_dict(calib: DeviceCalibration) -> dict:
 
 
 def load_calibration(path: str | Path) -> DeviceCalibration:
+    """A calibration file, or, when no such file exists, the bundled calibration of that name."""
+    if not Path(path).exists():
+        name, path = str(path), Path(__file__).parent / "calibrations" / f"{path}.json"
+        if not path.exists():
+            available = sorted(p.stem for p in path.parent.glob("*.json"))
+            raise CalibrationError(f"no bundled calibration {name!r}; available: {available}")
     with open(path) as f:
         try:
             data = json.load(f)
@@ -156,64 +162,57 @@ def save_calibration(calib: DeviceCalibration, path: str | Path) -> None:
     Path(path).write_text(json.dumps(calibration_to_dict(calib), indent=2) + "\n")
 
 
-def bundled_calibration_path(name: str) -> Path:
-    """Path of a calibration fixture shipped with the package."""
-    path = Path(__file__).parent / "calibrations" / f"{name}.json"
-    if not path.exists():
-        available = sorted(p.stem for p in path.parent.glob("*.json"))
-        raise CalibrationError(f"no bundled calibration {name!r}; available: {available}")
-    return path
-
-
 # ---------------------------------------------------------------------------
 # Idle noise
 
 
+DD_MODES = ("none", "staggered")
+
+
 @dataclass(frozen=True)
 class IdleSpec:
-    """An idle window split into equal Trotter segments.
+    """The idle-noise model: every idle window is split into equal Trotter segments.
 
-    ``duration_us`` is the total window length. Each segment applies the
-    per-qubit damping-dephasing accumulated over duration/n followed by the
-    per-edge ZZ phase for the same interval. Staggered echo mode inserts X
-    pulses on even chain positions after segments n/2 and n and on odd
-    positions after n/4 and 3n/4, which cancels pure ZZ evolution exactly
-    (and requires n divisible by 4).
+    Each segment applies the per-qubit damping-dephasing accumulated over
+    duration/n followed by the per-edge ZZ phase for the same interval.
+    Staggered echo mode inserts X pulses on even chain positions after
+    segments n/2 and n and on odd positions after n/4 and 3n/4, which cancels
+    pure ZZ evolution exactly (and requires n divisible by 4).
+    ``perfect_coherence`` drops every damping-dephasing channel (the T1, T2
+    -> infinity limit) while keeping ZZ and echo pulses.
     """
 
-    duration_us: float
     n_segments: int = 16
-    dd_mode: str = "none"
+    dd_mode: str = "staggered"
     zz_enabled: bool = True
+    perfect_coherence: bool = False
 
     def __post_init__(self):
-        if self.duration_us < 0:
-            raise ValueError(f"duration must be nonnegative, got {self.duration_us}")
+        if self.dd_mode not in DD_MODES:
+            raise ValueError(f"dd_mode: must be 'none' or 'staggered', got {self.dd_mode!r}")
         if self.n_segments < 1:
-            raise ValueError(f"segment count must be >= 1, got {self.n_segments}")
-        if self.dd_mode not in ("none", "staggered"):
-            raise ValueError(f"dd_mode must be 'none' or 'staggered', got {self.dd_mode!r}")
+            raise ValueError(f"n_segments: must be >= 1, got {self.n_segments}")
         if self.dd_mode == "staggered" and self.n_segments % 4 != 0:
-            raise ValueError("staggered echo needs a segment count divisible by 4")
+            raise ValueError(
+                f"n_segments: staggered echo needs a multiple of 4, got {self.n_segments}"
+            )
 
 
 def idle_sequence(
-    chain: Sequence[int],
-    spec: IdleSpec,
-    calib: DeviceCalibration,
-    include_damping: bool = True,
+    chain: Sequence[int], duration_us: float, spec: IdleSpec, calib: DeviceCalibration
 ) -> list[CircuitElement]:
-    """Noise elements for an idle window on a chain of adjacent qubits.
+    """Noise elements for an idle window of ``duration_us`` on a chain of adjacent qubits.
 
     ``chain`` holds physical qubit ids; emitted elements act on register
-    positions 0..len(chain)-1. With ``include_damping`` off only the coherent
-    ZZ part (and echo pulses) remains, which models perfect coherence.
+    positions 0..len(chain)-1.
     """
+    if duration_us < 0:
+        raise ValueError(f"duration must be nonnegative, got {duration_us}")
     chain = list(chain)
-    if spec.duration_us == 0:
+    if duration_us == 0:
         return []
     n = spec.n_segments
-    dt = spec.duration_us / n
+    dt = duration_us / n
     # every segment repeats the same elements, so each is built once per window
     zz_phases: list[CircuitElement] = []
     if spec.zz_enabled:
@@ -227,7 +226,7 @@ def idle_sequence(
             for s in segs:
                 pulse_after.setdefault(s, []).append(Gate("X", (pos,)))
     damping: list[CircuitElement] = []
-    if include_damping:
+    if not spec.perfect_coherence:
         for pos, qid in enumerate(chain):
             q = calib.qubit(qid)
             damping.append(ChannelOp(damping_dephasing(gp_from_t1t2(dt, q.t1, q.t2), qubit=pos)))
@@ -302,7 +301,6 @@ def idle_distill_experiment(
     delays_us: Sequence[float],
     idle: IdleSpec,
     swap_decomposition: str = "three_cnots",
-    perfect_coherence: bool = False,
 ) -> list[SweepRow]:
     """Prepare, swap, idle for each delay, then distill, on calibrated qubits.
 
@@ -310,10 +308,9 @@ def idle_distill_experiment(
     All gate and measurement noise comes from the calibration (edge gate
     errors as two-qubit global depolarizing, per-qubit readout bit flips);
     the kept qubits pick up their measurement-delay damping while the check
-    qubits are read out. ``perfect_coherence`` drops every damping-dephasing
-    channel (the T1, T2 -> infinity limit) while keeping ZZ and echo pulses.
-    Each row's sweep value is the delay and its pair fidelities are taken at
-    the end of the idle window.
+    qubits are read out, unless ``idle.perfect_coherence`` drops it. Each
+    row's sweep value is the delay and its pair fidelities are taken at the
+    end of the idle window.
     """
     chain = list(chain)
     if len(chain) != spec.n_qubits:
@@ -324,7 +321,7 @@ def idle_distill_experiment(
     before_idle = with_gate_noise(staged_prefix(spec.n_pairs, swap_decomposition), edge_err)
     at_t1 = execute_exact(before_idle, ground_state(spec.n_qubits)).snapshots["t1"]
     meas_delay_damping = []
-    if calib.meas_delay > 0 and not perfect_coherence:
+    if calib.meas_delay > 0 and not idle.perfect_coherence:
         for pos in spec.kept_pair:
             q = calib.qubit(chain[pos])
             meas_delay_damping.append(
@@ -334,9 +331,7 @@ def idle_distill_experiment(
     rows = []
     for delay in delays_us:
         # the idle window's ZZ phases are coherent crosstalk, not noisy gates
-        idle_stage = idle_sequence(
-            chain, replace(idle, duration_us=delay), calib, include_damping=not perfect_coherence
-        )
+        idle_stage = idle_sequence(chain, delay, idle, calib)
         at_t2 = execute_exact(idle_stage, at_t1).matrix
         fids = tuple(bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs)
         out = distill(spec, at_t2, check)
@@ -349,16 +344,13 @@ def idle_distill_experiment(
 
 
 _WORD_LENGTH = 20
+MIRROR_PAIRS = ((0, 1), (2, 3))
 
 
-def mirror_clifford_layers(
-    k: int,
-    seed: int | np.random.Generator,
-    pairs: Sequence[tuple[int, int]] = ((0, 1), (2, 3)),
-) -> list[CircuitElement]:
+def mirror_clifford_layers(k: int, seed: int | np.random.Generator) -> list[CircuitElement]:
     """k random two-qubit-Clifford layers followed by their exact mirror inverse.
 
-    Each layer applies, to every listed qubit pair, a random word of
+    Each layer applies, to each pair in ``MIRROR_PAIRS``, a random word of
     generators from {H, S, CNOT (both directions)}; the second half undoes
     the first gate by gate, so the noiseless circuit is the identity.
     """
@@ -367,7 +359,7 @@ def mirror_clifford_layers(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     first: list[Gate] = []
     for _ in range(k):
-        for a, b in pairs:
+        for a, b in MIRROR_PAIRS:
             gens = (
                 Gate("H", (a,)),
                 Gate("H", (b,)),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .circuit import (
     Measure,
     NothingAcceptedError,
     execute_exact,
-    parity_agreement,
     postselect,
 )
 from .densop import (
@@ -60,8 +59,12 @@ class ProtocolSpec:
         """The remote (B) half of each pair, where input noise is placed."""
         return tuple(b for _, b in self.pairs)
 
-    def accepts(self, outcomes) -> bool:
-        return parity_agreement(self.checks)(outcomes)
+    def accepts(self, outcomes: Mapping[str, int]) -> bool:
+        """True when, for each check, the two label groups have equal parity."""
+        return all(
+            sum(outcomes[l] for l in group_a) % 2 == sum(outcomes[l] for l in group_b) % 2
+            for group_a, group_b in self.checks
+        )
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -35,13 +35,7 @@ from .circuit import (
     with_gate_noise,
 )
 from .densop import DensityOperator, bell_fidelity_matrix, ground_state
-from .device import (
-    IdleSpec,
-    bundled_calibration_path,
-    idle_distill_experiment,
-    load_calibration,
-    staged_prefix,
-)
+from .device import IdleSpec, idle_distill_experiment, load_calibration, staged_prefix
 from .protocols import ProtocolSpec, SweepRow, distill, get_protocol
 
 CSV_HEADER_COMMENT = "# distillery-csv v1"
@@ -123,22 +117,20 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class IdleOptions:
+    """An idle sweep's calibration (a path or a bundled name), its chain, and its idle model."""
+
     calibration: str
     chain: tuple[int, ...]
-    n_segments: int = 16
-    dd_mode: str = "staggered"
-    zz_enabled: bool = True
-    perfect_coherence: bool = False
+    model: IdleSpec
 
-    def __post_init__(self):
-        if self.dd_mode not in ("none", "staggered"):
-            raise ConfigError(f"idle.dd_mode: must be 'none' or 'staggered', got {self.dd_mode!r}")
-        if self.n_segments < 1:
-            raise ConfigError(f"idle.n_segments: must be >= 1, got {self.n_segments}")
-        if self.dd_mode == "staggered" and self.n_segments % 4 != 0:
-            raise ConfigError(
-                f"idle.n_segments: staggered echo needs a multiple of 4, got {self.n_segments}"
-            )
+
+# how each optional ``idle`` config key is read; IdleSpec supplies the defaults
+_IDLE_MODEL_KEYS = {
+    "n_segments": lambda value, name: _convert(int, value, name),
+    "dd_mode": lambda value, name: str(value),
+    "zz_enabled": _as_bool,
+    "perfect_coherence": _as_bool,
+}
 
 
 @dataclass(frozen=True)
@@ -226,18 +218,16 @@ def config_from_dict(data: dict) -> SweepConfig:
         if not isinstance(idata, dict):
             raise ConfigError(f"idle: expected an object, got {idata!r}")
         try:
-            idle = IdleOptions(
-                calibration=str(idata["calibration"]),
-                chain=_as_tuple(int, idata["chain"], "idle.chain"),
-                n_segments=_convert(int, idata.get("n_segments", 16), "idle.n_segments"),
-                dd_mode=str(idata.get("dd_mode", "staggered")),
-                zz_enabled=_as_bool(idata.get("zz_enabled", True), "idle.zz_enabled"),
-                perfect_coherence=_as_bool(
-                    idata.get("perfect_coherence", False), "idle.perfect_coherence"
-                ),
-            )
+            calibration = str(idata["calibration"])
+            chain = _as_tuple(int, idata["chain"], "idle.chain")
         except KeyError as err:
             raise ConfigError(f"idle: missing field {err.args[0]!r}") from None
+        given = {k: read(idata[k], f"idle.{k}") for k, read in _IDLE_MODEL_KEYS.items() if k in idata}
+        try:
+            model = IdleSpec(**given)
+        except ValueError as err:
+            raise ConfigError(f"idle.{err}") from None
+        idle = IdleOptions(calibration, chain, model)
     return SweepConfig(
         protocol=str(protocol),
         noise_family=str(family),
@@ -269,10 +259,7 @@ def config_to_dict(cfg: SweepConfig) -> dict:
         out["idle"] = {
             "calibration": cfg.idle.calibration,
             "chain": list(cfg.idle.chain),
-            "n_segments": cfg.idle.n_segments,
-            "dd_mode": cfg.idle.dd_mode,
-            "zz_enabled": cfg.idle.zz_enabled,
-            "perfect_coherence": cfg.idle.perfect_coherence,
+            **asdict(cfg.idle.model),
         }
     return out
 
@@ -382,17 +369,15 @@ def pair_fidelities_at_prep(
     )
 
 
-def solve_asymmetry(
-    spec: ProtocolSpec,
-    target_ratio: float,
-    gate_error: float = 0.0,
-    tol: float = 1e-6,
-) -> float:
+ASYMMETRY_TOL = 1e-6
+
+
+def solve_asymmetry(spec: ProtocolSpec, target_ratio: float, gate_error: float = 0.0) -> float:
     """Depolarizing strength making the degraded pairs hit F1 = ratio * F2.
 
-    Bisection against the simulated fidelity ratio at the first barrier;
-    circuit noise shifts the naive 1 - p = ratio relation, so the target is
-    matched on the simulated ratio directly.
+    Bisection, to within ``ASYMMETRY_TOL``, against the simulated fidelity
+    ratio at the first barrier; circuit noise shifts the naive 1 - p = ratio
+    relation, so the target is matched on the simulated ratio directly.
     """
     if not 0.0 < target_ratio <= 1.0:
         raise ConfigError(f"asymmetry_ratio: must be in (0, 1], got {target_ratio}")
@@ -406,37 +391,13 @@ def solve_asymmetry(
         raise ConfigError(f"asymmetry_ratio: {target_ratio} unreachable even at full depolarizing")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
+        if hi - lo < ASYMMETRY_TOL:
             break
         if ratio_at(mid) > target_ratio:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _idle_rows(config: SweepConfig) -> list[SweepRow]:
-    opts = config.idle
-    path = Path(opts.calibration)
-    if not path.exists():
-        path = bundled_calibration_path(opts.calibration)
-    calib = load_calibration(path)
-    spec = get_protocol(config.protocol)
-    idle = IdleSpec(
-        duration_us=0.0,
-        n_segments=opts.n_segments,
-        dd_mode=opts.dd_mode,
-        zz_enabled=opts.zz_enabled,
-    )
-    return idle_distill_experiment(
-        spec,
-        opts.chain,
-        calib,
-        config.sweep.values,
-        idle,
-        swap_decomposition=config.swap_decomposition,
-        perfect_coherence=opts.perfect_coherence,
-    )
 
 
 def run_sweep(config: SweepConfig) -> dict[tuple[float, float], list[SweepRow]]:
@@ -450,7 +411,15 @@ def run_sweep(config: SweepConfig) -> dict[tuple[float, float], list[SweepRow]]:
     gate_errors = list(dict.fromkeys(config.gate_error))
     meas_errors = list(dict.fromkeys(config.meas_error))
     if config.noise_family == "idle":
-        rows = _idle_rows(config)
+        opts = config.idle
+        rows = idle_distill_experiment(
+            get_protocol(config.protocol),
+            opts.chain,
+            load_calibration(opts.calibration),
+            config.sweep.values,
+            opts.model,
+            config.swap_decomposition,
+        )
         return {(g, m): rows for g in gate_errors for m in meas_errors}
     spec = get_protocol(config.protocol)
     results = {}

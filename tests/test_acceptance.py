@@ -228,9 +228,9 @@ def test_criterion_08_echo_cancellation():
     calib = _coherent_chain(4, -52860.4)
     init = DensityOperator(4, bell_pairs_on([(0, 2), (1, 3)], 4))
     worst = 0.0
+    spec = IdleSpec(n_segments=16, dd_mode="staggered", zz_enabled=True, perfect_coherence=True)
     for dt in range(1, 101):
-        spec = IdleSpec(duration_us=float(dt), n_segments=16, dd_mode="staggered", zz_enabled=True)
-        seq = idle_sequence([0, 1, 2, 3], spec, calib, include_damping=False)
+        seq = idle_sequence([0, 1, 2, 3], float(dt), spec, calib)
         out = execute_exact(seq, init).unconditional_state()
         for pair in ((0, 2), (1, 3)):
             worst = max(worst, abs(1.0 - bell_fidelity_matrix(out.matrix, pair, 4)))
@@ -240,8 +240,8 @@ def test_criterion_08_echo_cancellation():
     duration = 0.5e6 / abs(rate)  # 2*pi*|rate|*duration*1e-6 = pi
     calib2 = _coherent_chain(2, rate)
     phi = DensityOperator(2, bell_pairs_on([(0, 1)], 2))
-    spec = IdleSpec(duration_us=duration, n_segments=16, dd_mode="none", zz_enabled=True)
-    seq = idle_sequence([0, 1], spec, calib2, include_damping=False)
+    spec = IdleSpec(n_segments=16, dd_mode="none", zz_enabled=True, perfect_coherence=True)
+    seq = idle_sequence([0, 1], duration, spec, calib2)
     out = execute_exact(seq, phi).unconditional_state()
     coherent_dev = abs(bell_fidelity_matrix(out.matrix, (0, 1), 2) - 0.0)
     ok = worst <= 1e-8 and coherent_dev <= 1e-8

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from distillery.circuit import (
     circuit_from_json,
     circuit_to_json,
     execute_exact,
-    parity_agreement,
     postselect,
     with_gate_noise,
 )
@@ -34,10 +34,15 @@ def ground(n):
 BELL_PREP = [Gate("H", (0,)), Gate("CNOT", (0, 1))]
 
 
+def joint_probabilities(result):
+    """Each outcome's probability, keyed by its bits in measurement order."""
+    return {tuple(b.outcomes.values()): b.probability for b in result.branches}
+
+
 def test_bell_prep_and_measure_outcomes():
     circuit = BELL_PREP + [Measure(0, "Z", "a"), Measure(1, "Z", "b")]
     result = execute_exact(circuit, ground(2))
-    probs = result.record.joint_probabilities
+    probs = joint_probabilities(result)
     assert probs[(0, 0)] == pytest.approx(0.5, abs=1e-12)
     assert probs[(1, 1)] == pytest.approx(0.5, abs=1e-12)
     assert probs[(0, 1)] == pytest.approx(0.0, abs=1e-12)
@@ -48,7 +53,7 @@ def test_bell_prep_and_measure_outcomes():
 def test_measurement_error_changes_agreement_probability(basis):
     circuit = BELL_PREP + [Measure(0, basis, "a"), Measure(1, basis, "b")]
     result = execute_exact(circuit, ground(2), meas_error=0.1)
-    probs = result.record.joint_probabilities
+    probs = joint_probabilities(result)
     agree = probs[(0, 0)] + probs[(1, 1)]
     # Bell |Phi+> outcomes agree in Z and X and disagree in Y; the readout
     # flip acts on the outcome in every basis, so the noiseless correlation
@@ -172,7 +177,7 @@ def test_clifford_outcomes_match_pauli_propagation(rng):
         circuit = gates + [Measure(q, "Z", f"m{q}") for q in measured]
         result = execute_exact(circuit, ground(n))
         predicted = _stabilizer_outcome_distribution(gates, measured, n)
-        for outcome, p in result.record.joint_probabilities.items():
+        for outcome, p in joint_probabilities(result).items():
             assert p == pytest.approx(predicted[outcome], abs=1e-10)
 
 
@@ -199,9 +204,9 @@ def test_postselect_zero_acceptance_raises():
 
 
 def test_parity_agreement_rule():
-    rule = parity_agreement([(("a", "b"), ("c",))])
-    assert rule({"a": 1, "b": 0, "c": 1})
-    assert not rule({"a": 1, "b": 1, "c": 1})
+    spec = replace(build_z2b(), checks=((("a", "b"), ("c",)),))
+    assert spec.accepts({"a": 1, "b": 0, "c": 1})
+    assert not spec.accepts({"a": 1, "b": 1, "c": 1})
 
 
 def test_zero_probability_branches_carried_without_division():
@@ -221,8 +226,8 @@ def test_mid_circuit_measurement_conditions_later_gates():
     # both outcomes report the same bit, each flipped with probability 0.1
     circuit = BELL_PREP + [Measure(0, "Z", "a"), Gate("CNOT", (1, 2)), Measure(2, "Z", "b")]
     result = execute_exact(circuit, ground(3), meas_error=0.1)
-    probs = result.record.joint_probabilities
-    assert result.record.labels == ("a", "b")
+    probs = joint_probabilities(result)
+    assert all(tuple(b.outcomes) == ("a", "b") for b in result.branches)
     for outcome, expected in {(0, 0): 0.41, (1, 1): 0.41, (0, 1): 0.09, (1, 0): 0.09}.items():
         assert probs[outcome] == pytest.approx(expected, abs=1e-12)
 
@@ -239,7 +244,7 @@ def test_acting_on_a_measured_qubit_is_rejected(after):
 
 def test_delay_on_a_measured_qubit_is_accepted():
     result = execute_exact([Measure(0, "Z", "a"), Delay(1.0, (0, 1))], ground(2))
-    assert result.record.joint_probabilities[(0,)] == pytest.approx(1.0, abs=1e-14)
+    assert joint_probabilities(result)[(0,)] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_circuit_json_round_trip(rng):

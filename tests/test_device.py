@@ -1,7 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from distillery import device
 
 from distillery.channels import channel_superoperator, damping_dephasing, gp_from_t1t2
 from distillery.circuit import Barrier, ChannelOp, execute_exact, postselect, with_gate_noise
@@ -20,7 +23,6 @@ from distillery.device import (
     IdleSpec,
     QubitCalibration,
     _check_stage,
-    bundled_calibration_path,
     calibration_to_dict,
     idle_distill_experiment,
     idle_sequence,
@@ -42,7 +44,7 @@ def coherent_calib(n, zz_rate):
 
 
 def test_bundled_z2b_calibration_values():
-    calib = load_calibration(bundled_calibration_path("kyiv_z2b"))
+    calib = load_calibration("kyiv_z2b")
     q0 = calib.qubit(0)
     assert (q0.t1, q0.t2, q0.meas_error) == (257.944, 323.573, 6.5e-3)
     e01 = calib.edge(0, 1)
@@ -51,14 +53,14 @@ def test_bundled_z2b_calibration_values():
 
 
 def test_bundled_3bell_calibration_values():
-    calib = load_calibration(bundled_calibration_path("kyiv_3bell"))
+    calib = load_calibration("kyiv_3bell")
     q62 = calib.qubit(62)
     assert (q62.t2, q62.meas_error) == (25.5405, 23.6e-3)
     assert calib.edge(59, 60).zz_rate == -127831
 
 
 def test_calibration_round_trip(tmp_path):
-    calib = load_calibration(bundled_calibration_path("kyiv_x2b"))
+    calib = load_calibration("kyiv_x2b")
     out = tmp_path / "copy.json"
     save_calibration(calib, out)
     again = load_calibration(out)
@@ -80,16 +82,21 @@ def test_calibration_validation_errors(tmp_path):
 
 def test_idle_sequence_empty_at_zero_duration():
     calib = coherent_calib(2, -50000.0)
-    spec = IdleSpec(duration_us=0.0, n_segments=16, dd_mode="none", zz_enabled=False)
-    assert idle_sequence([0, 1], spec, calib) == []
+    spec = IdleSpec(n_segments=16, dd_mode="none", zz_enabled=False)
+    assert idle_sequence([0, 1], 0.0, spec, calib) == []
+
+
+def test_idle_sequence_rejects_a_negative_duration():
+    with pytest.raises(ValueError, match="duration"):
+        idle_sequence([0, 1], -1.0, IdleSpec(), coherent_calib(2, -50000.0))
 
 
 def test_idle_sequence_single_qubit_single_segment():
     calib = DeviceCalibration(
         qubits=(QubitCalibration(0, 100.0, 100.0, 0.0),), edges=(), meas_delay=0.0
     )
-    spec = IdleSpec(duration_us=100.0, n_segments=1, dd_mode="none", zz_enabled=False)
-    seq = idle_sequence([0], spec, calib)
+    spec = IdleSpec(n_segments=1, dd_mode="none", zz_enabled=False)
+    seq = idle_sequence([0], 100.0, spec, calib)
     assert len(seq) == 1 and isinstance(seq[0], ChannelOp)
     expected = damping_dephasing(gp_from_t1t2(100.0, 100.0, 100.0))
     np.testing.assert_allclose(
@@ -104,8 +111,8 @@ def test_segment_splitting_is_invisible_without_zz():
     )
     supers = []
     for n_seg in (8, 16):
-        spec = IdleSpec(duration_us=120.0, n_segments=n_seg, dd_mode="none", zz_enabled=False)
-        seq = idle_sequence([0], spec, calib)
+        spec = IdleSpec(n_segments=n_seg, dd_mode="none", zz_enabled=False)
+        seq = idle_sequence([0], 120.0, spec, calib)
         total = np.eye(4, dtype=complex)
         for el in seq:
             total = channel_superoperator(el.channel) @ total
@@ -118,8 +125,8 @@ def test_pure_zz_with_staggered_echo_cancels_exactly():
     init = DensityOperator(4, bell_pairs_on([(0, 2), (1, 3)], 4))
     for duration in (3.0, 41.7, 100.0):
         for n_seg in (4, 16, 32):
-            spec = IdleSpec(duration_us=duration, n_segments=n_seg, dd_mode="staggered", zz_enabled=True)
-            seq = idle_sequence([0, 1, 2, 3], spec, calib, include_damping=False)
+            spec = IdleSpec(n_seg, "staggered", zz_enabled=True, perfect_coherence=True)
+            seq = idle_sequence([0, 1, 2, 3], duration, spec, calib)
             out = execute_exact(seq, init).unconditional_state()
             assert np.max(np.abs(out.matrix - init.matrix)) < 1e-8
 
@@ -129,8 +136,8 @@ def test_pure_zz_without_echo_matches_brute_force():
     duration = 13.7
     calib = coherent_calib(2, rate)
     init = DensityOperator(2, bell_pairs_on([(0, 1)], 2))
-    spec = IdleSpec(duration_us=duration, n_segments=16, dd_mode="none", zz_enabled=True)
-    seq = idle_sequence([0, 1], spec, calib, include_damping=False)
+    spec = IdleSpec(n_segments=16, dd_mode="none", zz_enabled=True, perfect_coherence=True)
+    seq = idle_sequence([0, 1], duration, spec, calib)
     out = execute_exact(seq, init).unconditional_state()
     theta = 2 * math.pi * rate * duration * 1e-6
     u = cphase_matrix(theta)
@@ -139,8 +146,19 @@ def test_pure_zz_without_echo_matches_brute_force():
 
 
 def test_staggered_mode_requires_quarterable_segments():
-    with pytest.raises(ValueError):
-        IdleSpec(duration_us=1.0, n_segments=6, dd_mode="staggered")
+    with pytest.raises(ValueError, match="^n_segments: "):
+        IdleSpec(n_segments=6, dd_mode="staggered")
+
+
+def test_load_calibration_resolves_a_bundled_name():
+    calib = load_calibration("kyiv_z2b")
+    bundled = Path(device.__file__).parent / "calibrations" / "kyiv_z2b.json"
+    assert calibration_to_dict(calib) == calibration_to_dict(load_calibration(bundled))
+
+
+def test_load_calibration_lists_bundled_names_for_an_unknown_one():
+    with pytest.raises(CalibrationError, match="'nope'.*kyiv_3bell.*kyiv_x2b.*kyiv_z2b"):
+        load_calibration("nope")
 
 
 def test_idle_experiment_perfect_device_at_zero_delay():
@@ -151,17 +169,17 @@ def test_idle_experiment_perfect_device_at_zero_delay():
     )
     rows = idle_distill_experiment(
         build_z2b(), [0, 1, 2, 3], calib, [0.0],
-        IdleSpec(duration_us=0.0, n_segments=16, dd_mode="staggered", zz_enabled=True),
+        IdleSpec(n_segments=16, dd_mode="staggered", zz_enabled=True),
     )
     assert rows[0].f_after == pytest.approx(1.0, abs=1e-10)
     assert rows[0].p_accept == pytest.approx(1.0, abs=1e-10)
 
 
 def test_idle_experiment_fidelities_decay_with_delay():
-    calib = load_calibration(bundled_calibration_path("kyiv_z2b"))
+    calib = load_calibration("kyiv_z2b")
     rows = idle_distill_experiment(
         build_z2b(), [0, 1, 2, 3], calib, [0.0, 50.0, 100.0, 200.0],
-        IdleSpec(duration_us=0.0, n_segments=16, dd_mode="staggered", zz_enabled=True),
+        IdleSpec(n_segments=16, dd_mode="staggered", zz_enabled=True),
     )
     f1 = [r.pair_fidelities[0] for r in rows]
     f2 = [r.pair_fidelities[1] for r in rows]
@@ -170,17 +188,16 @@ def test_idle_experiment_fidelities_decay_with_delay():
 
 
 def test_zz_without_echo_degrades_fidelity_far_below_echoed():
-    calib = load_calibration(bundled_calibration_path("kyiv_z2b"))
-    base = IdleSpec(duration_us=0.0, n_segments=16, zz_enabled=True)
+    calib = load_calibration("kyiv_z2b")
     delay = [8.0]
     spec = build_z2b()
     with_dd = idle_distill_experiment(
         spec, [0, 1, 2, 3], calib, delay,
-        IdleSpec(duration_us=0.0, n_segments=16, dd_mode="staggered", zz_enabled=True),
+        IdleSpec(n_segments=16, dd_mode="staggered", zz_enabled=True),
     )[0]
     without = idle_distill_experiment(
         spec, [0, 1, 2, 3], calib, delay,
-        IdleSpec(duration_us=0.0, n_segments=16, dd_mode="none", zz_enabled=True),
+        IdleSpec(n_segments=16, dd_mode="none", zz_enabled=True),
     )[0]
     assert without.f_before < with_dd.f_before - 0.15
 
@@ -190,8 +207,8 @@ def test_zz_without_echo_degrades_fidelity_far_below_echoed():
     [(build_z2b(), "kyiv_z2b", [0, 1, 2, 3]), (build_zx3b(), "kyiv_3bell", [3, 4, 5, 6, 7, 8])],
 )
 def test_idle_experiment_from_shared_prefix_equals_unsplit_delays(spec, calibration, chain):
-    calib = load_calibration(bundled_calibration_path(calibration))
-    idle = IdleSpec(duration_us=0.0, n_segments=16, dd_mode="staggered", zz_enabled=True)
+    calib = load_calibration(calibration)
+    idle = IdleSpec(n_segments=16, dd_mode="staggered", zz_enabled=True)
     delays = [0.0, 40.0, 120.0]
     rows = idle_distill_experiment(spec, chain, calib, delays, idle)
 
@@ -206,7 +223,7 @@ def test_idle_experiment_from_shared_prefix_equals_unsplit_delays(spec, calibrat
         # each delay as one whole circuit from the ground state, sharing nothing
         circuit = (
             prefix
-            + idle_sequence(chain, IdleSpec(delay, 16, "staggered", True), calib)
+            + idle_sequence(chain, delay, IdleSpec(16, "staggered", True), calib)
             + [Barrier("t2")]
             + with_gate_noise(check, edge_err)
         )
@@ -219,11 +236,11 @@ def test_idle_experiment_from_shared_prefix_equals_unsplit_delays(spec, calibrat
 
 
 def test_chain_length_must_match_protocol():
-    calib = load_calibration(bundled_calibration_path("kyiv_z2b"))
+    calib = load_calibration("kyiv_z2b")
     with pytest.raises(ValueError):
         idle_distill_experiment(
             build_zx3b(), [0, 1, 2, 3], calib, [0.0],
-            IdleSpec(duration_us=0.0, n_segments=16),
+            IdleSpec(n_segments=16),
         )
 
 

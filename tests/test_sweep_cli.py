@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from distillery import cli, protocols, sweep
+from distillery import cli, device, protocols, sweep
 from distillery.analytic import global_depol_distill, z2b_local_depol
 from distillery.circuit import Barrier, execute_exact, postselect, with_gate_noise
 from distillery.densop import bell_fidelity_matrix, ground_state
+from distillery.device import IdleSpec
 from distillery.protocols import SweepRow, get_protocol
 from distillery.sweep import (
     CSV_HEADER_COMMENT,
@@ -395,6 +396,50 @@ def test_cli_simulate_idle(tmp_path):
     assert len(lines) == 2 + 3
 
 
+IDLE_RUN = ["--calibration", "kyiv_z2b", "--protocol", "z2b", "--chain", "0,1,2,3", "--delays", "0,40,120"]
+
+
+@pytest.mark.parametrize(
+    "flags, model",
+    [
+        ([], {}),
+        (
+            ["--segments", "8", "--dd", "none", "--no-zz", "--perfect-coherence"],
+            {"n_segments": 8, "dd_mode": "none", "zz_enabled": False, "perfect_coherence": True},
+        ),
+    ],
+)
+def test_simulate_idle_and_idle_sweep_give_equal_rows(tmp_path, monkeypatch, flags, model):
+    models = []
+    experiment = device.idle_distill_experiment
+    recorded = lambda *args: models.append(args[4]) or experiment(*args)
+    monkeypatch.setattr(cli, "idle_distill_experiment", recorded)
+    monkeypatch.setattr(sweep, "idle_distill_experiment", recorded)
+    assert cli.main(["simulate-idle", *IDLE_RUN, *flags, "--out", str(tmp_path / "idle.csv")]) == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps(
+            minimal_config(
+                noise_family="idle",
+                sweep={"variable": "delay", "values": [0, 40, 120]},
+                idle={"calibration": "kyiv_z2b", "chain": [0, 1, 2, 3], **model},
+            )
+        )
+    )
+    assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert models == [IdleSpec(**model)] * 2
+    idle_rows = (tmp_path / "idle.csv").read_text().splitlines()[2:]
+    sweep_rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+    # the sweep CSV adds an eps_d column
+    assert [row.rsplit(",", 1)[0] for row in sweep_rows] == idle_rows
+    assert len(idle_rows) == 3
+
+
+def test_cli_simulate_idle_names_the_segment_count(capsys):
+    assert cli.main(["simulate-idle", *IDLE_RUN, "--segments", "6"]) == 2
+    assert "error: n_segments: " in capsys.readouterr().err
+
+
 def test_cli_simulate_circuit(tmp_path, capsys):
     from distillery.circuit import Gate, Measure, circuit_to_json
 
@@ -470,6 +515,18 @@ def test_cli_simulate_reports_fidelity(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["bell_fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--init-bell-pairs", "0_2"), ("--fidelity-pair", "0"), ("--fidelity-pair", "0,x")]
+)
+def test_cli_simulate_names_a_malformed_pair_option(tmp_path, capsys, flag, value):
+    from distillery.circuit import Barrier, circuit_to_json
+
+    path = tmp_path / "idle.json"
+    path.write_text(circuit_to_json([Barrier("t")]))
+    assert cli.main(["simulate", "--circuit", str(path), "--qubits", "4", flag, value]) == 2
+    assert f"error: {flag[2:]}: " in capsys.readouterr().err
 
 
 def test_noiseless_bitflip_sweep_matches_closed_form():
