@@ -51,7 +51,7 @@ class KrausChannel:
                 )
         total = sum(k.conj().T @ k for k in ops)
         dev = np.max(np.abs(total - np.eye(dim)))
-        if dev > COMPLETENESS_TOL:
+        if not dev <= COMPLETENESS_TOL:  # NaN compares false, so it fails here too
             raise ValueError(f"Kraus completeness violated: max |sum K^dag K - I| = {dev:.3e}")
         object.__setattr__(self, "target_qubits", targets)
         object.__setattr__(self, "kraus_ops", ops)
@@ -121,9 +121,9 @@ class PauliChannelParams:
 
     def __post_init__(self):
         probs = (self.p_i, self.p_x, self.p_y, self.p_z)
-        if any(p < 0 for p in probs):
+        if not all(p >= 0 for p in probs):
             raise ValueError(f"Pauli probabilities must be nonnegative, got {probs}")
-        if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
+        if not abs(sum(probs) - 1.0) <= PROB_SUM_TOL:
             raise ValueError(f"Pauli probabilities must sum to 1, got {sum(probs)!r}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
@@ -200,7 +200,7 @@ def gp_from_t1t2(t: float, t1: float, t2: float) -> DampingDephasingParams:
     g = 1 - exp(-t/T1) and p = (1 - exp(-t (1/T2 - 1/(2 T1)))) / 2, which
     requires T2 <= 2 T1.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"idle time must be nonnegative, got {t}")
     if t1 <= 0:
         raise ValueError(f"T1 must be positive, got {t1}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence, Union
@@ -74,6 +75,8 @@ class Gate:
         if self.name == "CPhase":
             if self.angle is None:
                 raise ValueError("CPhase requires an angle")
+            if not math.isfinite(self.angle):
+                raise ValueError(f"CPhase angle must be finite, got {self.angle}")
             if len(self.targets) != 2:
                 raise ValueError("CPhase acts on exactly two qubits")
         elif self.name in GATE_MATRICES:
@@ -116,7 +119,7 @@ class Delay:
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(self.qubits))
-        if self.duration < 0:
+        if not self.duration >= 0:
             raise ValueError(f"delay duration must be nonnegative, got {self.duration}")
 
 

@@ -23,6 +23,7 @@ from .sweep import (
     ConfigError,
     config_to_dict,
     load_config,
+    load_idle_calibration,
     rows_to_csv,
     run_sweep,
 )
@@ -47,10 +48,9 @@ def _out_path_for(base: str, g: float, m: float, multiple: bool) -> str:
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config)
     if args.print_config:
-        print(json.dumps(config_to_dict(config), indent=2))
-        return EXIT_OK
+        return cmd_validate_config(args)
+    config = load_config(args.config)
     out_base = args.out or config.out
     combos = [(g, m) for g in config.gate_error for m in config.meas_error]
     multiple = len(combos) > 1
@@ -66,6 +66,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate_config(args) -> int:
     config = load_config(args.config)
+    if config.idle is not None:
+        load_idle_calibration(config.idle)
     print(json.dumps(config_to_dict(config), indent=2))
     return EXIT_OK
 

@@ -10,6 +10,7 @@ which is the simplest and fastest representation at this scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -54,6 +55,24 @@ class PhysicalityError(ValueError):
     """A matrix failed a density-operator physicality invariant."""
 
 
+def _certified_above_floor(matrix: np.ndarray) -> bool:
+    """True when a Cholesky factorization proves every eigenvalue is >= PSD_FLOOR.
+
+    The factorization runs on a copy whose diagonal is raised by
+    |PSD_FLOOR|/2, so it succeeds on rank-deficient states (pure states
+    included). It is backward stable, with error about dim * eps * |rho|
+    (5e-13 at 12 qubits), far inside the remaining |PSD_FLOOR|/2 margin. A
+    False says nothing; the caller then decides with the full spectrum.
+    """
+    shifted = matrix.copy()
+    shifted.flat[:: len(shifted) + 1] -= PSD_FLOOR / 2
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _check_density_matrix(matrix: np.ndarray, n_qubits: int) -> None:
     dim = 2**n_qubits
     if matrix.shape != (dim, dim):
@@ -61,11 +80,15 @@ def _check_density_matrix(matrix: np.ndarray, n_qubits: int) -> None:
             f"expected a {dim}x{dim} matrix for {n_qubits} qubits, got {matrix.shape}"
         )
     herm = np.max(np.abs(matrix - matrix.conj().T))
+    if not math.isfinite(herm):  # a NaN or infinite entry makes its row's deviation non-finite
+        raise PhysicalityError(f"not finite: max |rho - rho^dag| = {herm}")
     if herm > HERMITICITY_TOL:
         raise PhysicalityError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = np.trace(matrix)
     if abs(tr - 1.0) > TRACE_TOL:
         raise PhysicalityError(f"trace {tr} is not 1 within {TRACE_TOL}")
+    if _certified_above_floor(matrix):
+        return
     min_eig = float(np.linalg.eigvalsh(matrix)[0])
     if min_eig < PSD_FLOOR:
         raise PhysicalityError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
@@ -110,7 +133,7 @@ class UnitaryOp:
         if len(set(targets)) != len(targets):
             raise ValueError(f"target qubits must be distinct, got {targets}")
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-        if dev > UNITARY_TOL:
+        if not dev <= UNITARY_TOL:  # NaN compares false, so it fails here too
             raise ValueError(f"not unitary: max |U^dag U - I| = {dev:.3e}")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "target_qubits", targets)
@@ -254,7 +277,7 @@ def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
 def expectation(rho: DensityOperator, obs: np.ndarray, qubits: Sequence[int] | None = None) -> float:
     """Tr(O rho) for a Hermitian observable on a subset of qubits."""
     obs = np.asarray(obs, dtype=complex)
-    if np.max(np.abs(obs - obs.conj().T)) > HERMITICITY_TOL:
+    if not np.max(np.abs(obs - obs.conj().T)) <= HERMITICITY_TOL:
         raise ValueError("observable must be Hermitian")
     if qubits is None:
         qubits = range(rho.n_qubits)

@@ -32,8 +32,8 @@ from .circuit import (
     execute_exact,
     with_gate_noise,
 )
-from .densop import DensityOperator, bell_fidelity_matrix, bell_pairs_on, ground_state
-from .protocols import ProtocolSpec, SweepRow, distill
+from .densop import DensityOperator, bell_pairs_on, ground_state
+from .protocols import ProtocolSpec, SweepRow, distill, pair_fidelities, run_checks
 
 
 class CalibrationError(ValueError):
@@ -81,7 +81,9 @@ class DeviceCalibration:
                 raise CalibrationError(f"edge ({e.q1}, {e.q2}) references unknown qubits")
             if not 0 <= e.gate_error <= 1:
                 raise CalibrationError(f"edge ({e.q1}, {e.q2}): gate_error out of [0, 1]")
-        if self.meas_delay < 0:
+            if not math.isfinite(e.zz_rate):
+                raise CalibrationError(f"edge ({e.q1}, {e.q2}): zz_rate must be finite, got {e.zz_rate}")
+        if not self.meas_delay >= 0:
             raise CalibrationError(f"meas_delay must be nonnegative, got {self.meas_delay}")
 
     def qubit(self, qid: int) -> QubitCalibration:
@@ -95,6 +97,15 @@ class DeviceCalibration:
             if {e.q1, e.q2} == {a, b}:
                 return e
         raise CalibrationError(f"edge ({a}, {b}) not in calibration")
+
+
+def check_chain(calib: DeviceCalibration, chain: Sequence[int]) -> None:
+    """CalibrationError unless every qubit of ``chain`` and every edge between
+    neighbours in it is in ``calib``, as the idle experiment needs."""
+    for qid in chain:
+        calib.qubit(qid)
+    for a, b in zip(chain, chain[1:]):
+        calib.edge(a, b)
 
 
 def _require(data: dict, key: str, context: str):
@@ -206,7 +217,7 @@ def idle_sequence(
     ``chain`` holds physical qubit ids; emitted elements act on register
     positions 0..len(chain)-1.
     """
-    if duration_us < 0:
+    if not duration_us >= 0:
         raise ValueError(f"duration must be nonnegative, got {duration_us}")
     chain = list(chain)
     if duration_us == 0:
@@ -333,9 +344,9 @@ def idle_distill_experiment(
         # the idle window's ZZ phases are coherent crosstalk, not noisy gates
         idle_stage = idle_sequence(chain, delay, idle, calib)
         at_t2 = execute_exact(idle_stage, at_t1).matrix
-        fids = tuple(bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs)
-        out = distill(spec, at_t2, check)
-        rows.append(SweepRow(float(delay), fids, out.f_before, out.f_after, out.p_accept))
+        fids = pair_fidelities(spec, at_t2)
+        f_after, p_accept = run_checks(spec, at_t2, check)
+        rows.append(SweepRow(float(delay), fids, max(fids), f_after, p_accept))
     return rows
 
 

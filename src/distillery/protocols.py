@@ -189,6 +189,30 @@ def get_protocol(name: str) -> ProtocolSpec:
         raise ValueError(f"unknown protocol {name!r}; expected one of {PROTOCOL_NAMES}") from None
 
 
+def pair_fidelities(spec: ProtocolSpec, rho: np.ndarray) -> tuple[float, ...]:
+    """The Bell fidelity of each of the spec's pairs (raw arrays)."""
+    return tuple(bell_fidelity_matrix(rho, pair, spec.n_qubits) for pair in spec.pairs)
+
+
+def run_checks(
+    spec: ProtocolSpec,
+    rho: np.ndarray,
+    check: Sequence[CircuitElement] | None = None,
+    meas_error: float = 0.0,
+) -> tuple[float, float]:
+    """The kept pair's Bell fidelity after post-selection, and the acceptance.
+
+    ``check`` (default the spec's perfect circuit) runs from ``rho`` with
+    readout error ``meas_error``; the accepted outcomes are kept. Raises
+    NothingAcceptedError when no outcome passes the checks.
+    """
+    n = spec.n_qubits
+    circuit = spec.circuit if check is None else check
+    result = execute_exact(circuit, DensityOperator(n, rho), meas_error)
+    p_accept, kept = postselect(result, spec.accepts)
+    return bell_fidelity_matrix(kept.matrix, spec.kept_pair, n), p_accept
+
+
 def distill(
     spec: ProtocolSpec,
     rho: np.ndarray,
@@ -197,17 +221,10 @@ def distill(
 ) -> Outcome:
     """One recurrence step from the register state right before the checks.
 
-    F_b is the best Bell fidelity over the spec's pairs. ``check`` (default
-    the spec's perfect circuit) runs from ``rho`` with readout error
-    ``meas_error``; the accepted outcomes are kept and the kept pair scored.
-    Raises NothingAcceptedError when no outcome passes the checks.
+    F_b is the best Bell fidelity over the spec's pairs; F_a and the
+    acceptance come from :func:`run_checks`.
     """
-    n = spec.n_qubits
-    f_before = max(bell_fidelity_matrix(rho, pair, n) for pair in spec.pairs)
-    circuit = spec.circuit if check is None else check
-    result = execute_exact(circuit, DensityOperator(n, rho), meas_error)
-    p_accept, kept = postselect(result, spec.accepts)
-    return Outcome(f_before, bell_fidelity_matrix(kept.matrix, spec.kept_pair, n), p_accept)
+    return Outcome(max(pair_fidelities(spec, rho)), *run_checks(spec, rho, check, meas_error))
 
 
 def run_protocol(spec: ProtocolSpec, input_noise: Sequence[NoiseChannel] = ()) -> Outcome:

@@ -35,8 +35,16 @@ from .circuit import (
     with_gate_noise,
 )
 from .densop import DensityOperator, bell_fidelity_matrix, ground_state
-from .device import IdleSpec, idle_distill_experiment, load_calibration, staged_prefix
-from .protocols import ProtocolSpec, SweepRow, distill, get_protocol
+from .device import (
+    CalibrationError,
+    DeviceCalibration,
+    IdleSpec,
+    check_chain,
+    idle_distill_experiment,
+    load_calibration,
+    staged_prefix,
+)
+from .protocols import ProtocolSpec, SweepRow, get_protocol, pair_fidelities, run_checks
 
 CSV_HEADER_COMMENT = "# distillery-csv v1"
 
@@ -264,6 +272,20 @@ def config_to_dict(cfg: SweepConfig) -> dict:
     return out
 
 
+def load_idle_calibration(opts: IdleOptions) -> DeviceCalibration:
+    """The idle sweep's calibration; ConfigError naming ``idle.calibration`` when
+    it cannot be loaded, or ``idle.chain`` when the chain is not in it."""
+    try:
+        calib = load_calibration(opts.calibration)
+    except CalibrationError as err:
+        raise ConfigError(f"idle.calibration: {err}") from None
+    try:
+        check_chain(calib, opts.chain)
+    except CalibrationError as err:
+        raise ConfigError(f"idle.chain: {err}") from None
+    return calib
+
+
 def load_config(path: str | Path) -> SweepConfig:
     try:
         data = json.loads(Path(path).read_text())
@@ -333,12 +355,12 @@ def _run_point(
     wait = _wait_elements(family, spec.n_pairs, wait_value, spec.n_qubits)
     at_t2 = execute_exact(wait, at_t1).matrix
     check = with_gate_noise(spec.circuit, lambda a, b: gate_error)
+    f_before = max(pair_fidelities(spec, at_t2))
     try:
-        out = distill(spec, at_t2, check, meas_error)
+        f_after, p_accept = run_checks(spec, at_t2, check, meas_error)
     except NothingAcceptedError:
-        f_before = max(bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs)
         return SweepRow(wait_value, fids, f_before, None, 0.0)
-    return SweepRow(wait_value, fids, out.f_before, out.f_after, out.p_accept)
+    return SweepRow(wait_value, fids, f_before, f_after, p_accept)
 
 
 def run_staged_point(
@@ -415,7 +437,7 @@ def run_sweep(config: SweepConfig) -> dict[tuple[float, float], list[SweepRow]]:
         rows = idle_distill_experiment(
             get_protocol(config.protocol),
             opts.chain,
-            load_calibration(opts.calibration),
+            load_idle_calibration(opts),
             config.sweep.values,
             opts.model,
             config.swap_decomposition,

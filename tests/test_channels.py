@@ -214,11 +214,17 @@ def test_pauli_channel_params_validation():
         PauliChannelParams(0.5, 0.5, 0.5, -0.5)
     with pytest.raises(ValueError):
         PauliChannelParams(0.5, 0.2, 0.2, 0.2)
+    with pytest.raises(ValueError):
+        PauliChannelParams(math.nan, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        PauliChannelParams(1.0, math.nan, 0.0, 0.0)
 
 
 def test_kraus_completeness_enforced():
     with pytest.raises(ValueError):
         KrausChannel((0,), (np.eye(2) * 0.9,))
+    with pytest.raises(ValueError, match="completeness"):
+        KrausChannel((0,), (np.array([[np.nan, 0], [0, 1]]),))
 
 
 def test_apply_channel_preserves_trace_and_hermiticity(rng):

@@ -10,9 +10,11 @@ from distillery.densop import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PSD_FLOOR,
     DensityOperator,
     PhysicalityError,
     UnitaryOp,
+    _certified_above_floor,
     apply_unitary,
     bell_fidelity,
     bell_pairs_on,
@@ -160,11 +162,53 @@ def test_density_operator_invariants_enforced():
         DensityOperator(1, np.array([[0.9, 0.0], [0.0, 0.2]]))  # trace 1.1
     with pytest.raises(PhysicalityError):
         DensityOperator(1, np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
+    for bad in (np.nan, np.inf):
+        with pytest.raises(PhysicalityError, match="not finite"):
+            DensityOperator(1, np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(PhysicalityError, match="not finite"):
+            DensityOperator(1, np.array([[0.5, bad], [bad, 0.5]]))
 
 
 def test_unitary_op_rejects_non_unitary():
     with pytest.raises(ValueError):
         UnitaryOp(np.array([[1, 0], [0, 2]]), (0,))
+    with pytest.raises(ValueError, match="not unitary"):
+        UnitaryOp(np.array([[np.nan, 0], [0, 1]]), (0,))
+
+
+def _with_min_eigenvalue(rng, n_qubits: int, lam_min: float) -> np.ndarray:
+    """U diag(lam) U^dag with Haar-like U, smallest eigenvalue lam_min and trace 1."""
+    dim = 2**n_qubits
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    rest = rng.uniform(0.1, 1.0, size=dim - 1)
+    lam = np.concatenate([[lam_min], rest * (1.0 - lam_min) / rest.sum()])
+    return (u * lam) @ u.conj().T
+
+
+def _bell_with_min_eigenvalue(n_pairs: int, lam_min: float) -> np.ndarray:
+    """A Bell product with lam_min moved onto |0...01>: eigenvalues 1 - lam_min, lam_min, 0, ..."""
+    mat = (1.0 - lam_min) * bell_state(n_pairs).matrix
+    mat[1, 1] += lam_min
+    return mat
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_psd_check_accepts_exactly_what_the_spectrum_accepts(rng, n):
+    for lam_min in (0.0, -1e-12, -4e-10, -6e-10, -9.9e-10, -1.01e-9, -1e-6, -0.5):
+        mats = [_with_min_eigenvalue(rng, n, lam_min)]
+        if n % 2 == 0:
+            mats.append(_bell_with_min_eigenvalue(n // 2, lam_min))  # rank 1 at lam_min = 0
+        for mat in mats:
+            min_eig = np.linalg.eigvalsh(mat)[0]
+            assert min_eig == pytest.approx(lam_min, abs=1e-13)
+            # the certificate settles every spectrum above PSD_FLOOR / 2 and
+            # none below it; in between eigvalsh decides
+            assert _certified_above_floor(mat) == (lam_min > PSD_FLOOR / 2), lam_min
+            if min_eig >= PSD_FLOOR:
+                DensityOperator(n, mat)
+            else:
+                with pytest.raises(PhysicalityError, match=f"min eigenvalue {min_eig:.3e}"):
+                    DensityOperator(n, mat)
 
 
 def test_bell_pairs_on_matches_permuted_bell_state():
@@ -192,3 +236,38 @@ def test_operations_return_physical_states(seed, n):
     out = apply_unitary(rho, UnitaryOp(q, (int(rng.integers(n)),)))
     red = partial_trace(out, [0])
     assert abs(np.trace(red.matrix) - 1) < 1e-10
+
+
+def _ladder(n_pairs: int) -> UnitaryOp:
+    """CNOT(i, i+1) down each side of a side-major n-pair register."""
+    n = 2 * n_pairs
+    u = np.eye(2**n, dtype=complex)
+    for side in (0, n_pairs):
+        for i in range(n_pairs - 1):
+            u = embed_on_qubits(CNOT, (side + i, side + i + 1), n) @ u
+    return UnitaryOp(u, tuple(range(n)))
+
+
+def test_physical_states_never_reach_the_eigvalsh_fallback(monkeypatch):
+    from distillery.channels import apply_channel, depolarizing_local
+    from distillery.device import IdleSpec, idle_distill_experiment, load_calibration
+    from distillery.protocols import build_z2b, build_zx3b, general_distill
+    from distillery.sweep import run_staged_point
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a physical state reached the eigvalsh fallback")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    row = run_staged_point(build_zx3b(), "local_depol", 0.0, 0.02, gate_error=5e-3, meas_error=1e-2)
+    assert 0.0 < row.p_accept < 1.0
+    (row,) = idle_distill_experiment(
+        build_z2b(), [0, 1, 2, 3], load_calibration("kyiv_z2b"), [50.0], IdleSpec()
+    )
+    assert 0.0 < row.p_accept < 1.0
+    n_pairs = 4
+    n = 2 * n_pairs
+    rho = DensityOperator(n, bell_pairs_on([(i, n_pairs + i) for i in range(n_pairs)], n))
+    for i, p in enumerate((0.05, 0.1, 0.15, 0.2)):
+        rho = apply_channel(rho, depolarizing_local(p, qubit=n_pairs + i))
+    p_accept, _, fidelity = general_distill(rho, _ladder(n_pairs))
+    assert 0.0 < p_accept < 1.0 and 0.0 < fidelity < 1.0

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distillery import device
+from distillery import densop, device
 
 from distillery.channels import channel_superoperator, damping_dephasing, gp_from_t1t2
 from distillery.circuit import Barrier, ChannelOp, execute_exact, postselect, with_gate_noise
@@ -78,6 +78,13 @@ def test_calibration_validation_errors(tmp_path):
     bad.write_text('{"qubits": [], "edges": [{"q1": 0, "q2": 1, "zz_rate": 0, "gate_error": 0}], "meas_delay": 0}')
     with pytest.raises(CalibrationError, match="edge"):
         load_calibration(bad)
+    two = '[{"id": 0, "T1": 100.0, "T2": 100.0, "meas_error": 0.0}, {"id": 1, "T1": 100.0, "T2": 100.0, "meas_error": 0.0}]'
+    bad.write_text(f'{{"qubits": {two}, "edges": [{{"q1": 0, "q2": 1, "zz_rate": NaN, "gate_error": 0}}], "meas_delay": 0}}')
+    with pytest.raises(CalibrationError, match="zz_rate"):
+        load_calibration(bad)
+    bad.write_text(f'{{"qubits": {two}, "edges": [], "meas_delay": NaN}}')
+    with pytest.raises(CalibrationError, match="meas_delay"):
+        load_calibration(bad)
 
 
 def test_idle_sequence_empty_at_zero_duration():
@@ -89,6 +96,8 @@ def test_idle_sequence_empty_at_zero_duration():
 def test_idle_sequence_rejects_a_negative_duration():
     with pytest.raises(ValueError, match="duration"):
         idle_sequence([0, 1], -1.0, IdleSpec(), coherent_calib(2, -50000.0))
+    with pytest.raises(ValueError, match="duration"):
+        idle_sequence([0, 1], math.nan, IdleSpec(), coherent_calib(2, -50000.0))
 
 
 def test_idle_sequence_single_qubit_single_segment():
@@ -185,6 +194,20 @@ def test_idle_experiment_fidelities_decay_with_delay():
     f2 = [r.pair_fidelities[1] for r in rows]
     assert all(b < a for a, b in zip(f1, f1[1:]))
     assert all(b < a for a, b in zip(f2, f2[1:]))
+
+
+def test_idle_experiment_scores_each_pair_once_per_delay(monkeypatch):
+    spec = build_zx3b()
+    traced = []
+    partial_trace_matrix = densop.partial_trace_matrix
+    monkeypatch.setattr(
+        densop, "partial_trace_matrix", lambda *a: traced.append(a[1]) or partial_trace_matrix(*a)
+    )
+    idle_distill_experiment(
+        spec, [3, 4, 5, 6, 7, 8], load_calibration("kyiv_3bell"), [0.0, 50.0], IdleSpec()
+    )
+    # per delay: each pair for the row and F_b, then the kept pair for F_a
+    assert traced == 2 * [*map(list, spec.pairs), list(spec.kept_pair)]
 
 
 def test_zz_without_echo_degrades_fidelity_far_below_echoed():

@@ -127,6 +127,9 @@ IDLE_SWEEP = {"noise_family": "idle", "sweep": {"variable": "delay", "values": [
         ({"sweep": {"start": 0.0, "stop": 0.5, "num": float("inf")}}, "sweep.num"),
         ({"sweep": {"start": 0.0, "stop": 0.5, "num": True}}, "sweep.num"),
         ({"gate_error": True}, "gate_error"),
+        ({**IDLE_SWEEP, "idle": {"calibration": "nope", "chain": [0, 1, 2, 3]}}, "idle.calibration"),
+        ({**IDLE_SWEEP, "idle": {"calibration": "kyiv_z2b", "chain": [0, 1, 2, 99]}}, "idle.chain"),
+        ({**IDLE_SWEEP, "idle": {"calibration": "kyiv_z2b", "chain": [0, 1, 3, 2]}}, "idle.chain"),
     ],
 )
 @pytest.mark.parametrize("command", ["validate-config", "sweep"])
@@ -367,6 +370,9 @@ def test_cli_print_config(tmp_path, capsys):
     resolved = json.loads(capsys.readouterr().out)
     assert resolved["swap_decomposition"] == "three_cnots"
     assert resolved["gate_error"] == [0.0]
+    config.write_text(json.dumps(minimal_config(**IDLE_SWEEP, idle={"calibration": "nope", "chain": [0, 1, 2, 3]})))
+    assert cli.main(["sweep", "--config", str(config), "--print-config"]) == 2
+    assert "error: idle.calibration:" in capsys.readouterr().err
 
 
 def test_cli_validate_config_exit_codes(tmp_path, capsys):
@@ -486,6 +492,25 @@ def test_cli_simulate_names_mistyped_circuit_field(tmp_path, capsys, element, fi
     assert cli.main(["simulate", "--circuit", str(path), "--qubits", "1"]) == 2
     err = capsys.readouterr().err
     assert "circuit element 1" in err and repr(field) in err
+
+
+@pytest.mark.parametrize(
+    "element, complaint",
+    [
+        (
+            {"type": "channel", "channel": {"kind": "kraus", "target_qubits": [0],
+                                            "kraus_ops": [[[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]]}},
+            "completeness",
+        ),
+        ({"type": "gate", "name": "CPhase", "targets": [0, 1], "angle": float("nan")}, "finite"),
+    ],
+)
+def test_cli_simulate_names_a_nan_element(tmp_path, capsys, element, complaint):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps([{"type": "gate", "name": "H", "targets": [0]}, element]))
+    assert cli.main(["simulate", "--circuit", str(path), "--qubits", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "circuit element 1" in err and complaint in err
 
 
 def test_cli_simulate_rejects_acting_on_a_measured_qubit(tmp_path, capsys):
