@@ -32,6 +32,7 @@ from .circuit import (
     NothingAcceptedError,
     execute_exact,
     postselect,
+    simplify,
     with_gate_noise,
 )
 from .protocols import (

@@ -29,6 +29,7 @@ from .channels import Channel as NoiseChannel
 from .densop import (
     CNOT,
     HADAMARD,
+    ID2,
     PAULI_X,
     S_GATE,
     SDG_GATE,
@@ -161,6 +162,135 @@ def with_gate_noise(
                 channel = ChannelOp(GlobalDepolarizingChannel(el.targets, g))
                 noise[el.targets] = [channel] if g != 0.0 else []
             out.extend(noise[el.targets])
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _block_factor(name: str, angle: float | None, targets: tuple[int, ...], qubits: tuple[int, ...]) -> np.ndarray:
+    """A gate's matrix on the block ``qubits`` (the first is the most significant); read-only."""
+    mat = _gate_matrix(name, angle)
+    if len(qubits) == 1 or targets == qubits:
+        out = mat.copy()
+    elif len(targets) == 2:
+        out = SWAP @ mat @ SWAP
+    else:
+        out = np.kron(mat, ID2) if targets[0] == qubits[0] else np.kron(ID2, mat)
+    out.flags.writeable = False
+    return out
+
+
+def _product(factors: list[np.ndarray]) -> np.ndarray:
+    """factors[-1] @ ... @ factors[0], multiplied pairwise in a few batched matmuls."""
+    stack = np.array(factors)
+    while len(stack) > 1:
+        if len(stack) % 2:
+            stack = np.concatenate([stack, np.eye(len(stack[0]))[None]])
+        stack = stack[1::2] @ stack[0::2]
+    return stack[0]
+
+
+class _Block:
+    """Gates on at most two qubits, and the global depolarizing channels on
+    exactly those qubits, which commute with them. ``factors`` are the gates'
+    matrices on ``qubits`` in the order they act; a block joined from two
+    single-qubit blocks starts with the kron of their products."""
+
+    __slots__ = ("qubits", "gates", "factors", "channels")
+
+    def __init__(self, qubits: tuple[int, ...], gates: list[Gate], factors: list[np.ndarray]):
+        self.qubits = qubits
+        self.gates = gates
+        self.factors = factors
+        self.channels: list[ChannelOp] = []
+
+    def emit(self, out: list[CircuitElement]) -> None:
+        if len(self.gates) == 1:
+            out.append(self.gates[0])
+        else:
+            out.append(ChannelOp(KrausChannel(self.qubits, (_product(self.factors),))))
+        if len(self.channels) == 1:
+            out.append(self.channels[0])
+        elif self.channels:
+            keep = math.prod(1.0 - op.channel.lam for op in self.channels)
+            out.append(ChannelOp(GlobalDepolarizingChannel(self.qubits, 1.0 - keep)))
+
+
+def simplify(circuit: Sequence[CircuitElement]) -> list[CircuitElement]:
+    """An equivalent circuit in which each run of gates on at most two qubits is one unitary.
+
+    Exact up to rounding, from two facts: global depolarizing on a set S
+    commutes with every unitary supported in S, and channels on the same S
+    compose as lambda = 1 - prod(1 - lambda_i). Gates on one or two qubits
+    multiply into an open block (two single-qubit blocks join a two-qubit
+    gate by kron); a global depolarizing channel whose targets equal an open
+    block's qubits as a set joins that block. The blocks a ``Measure``,
+    ``Delay`` or any other channel touches are emitted before it, and every
+    block before a ``Barrier``, so nothing crosses them. A block is emitted
+    as ``ChannelOp(KrausChannel(qubits, (U,)))``, or as its gate if it holds
+    only one, followed by at most one depolarizing channel.
+
+    Only the mirror-twirl experiment runs through it; :func:`execute_exact`
+    on the unsimplified circuit is the reference. The staged sweep and the
+    idle experiment stay unfused on purpose: idle windows hold many small
+    blocks between Kraus damping channels, so fusing them costs more than it
+    saves, and the staged prefix already runs once per gate error.
+    """
+    out: list[CircuitElement] = []
+    open_blocks: dict[int, _Block] = {}  # qubit -> the open block holding it
+
+    def flush(qubits) -> None:
+        for q in qubits:
+            block = open_blocks.get(q)
+            if block is not None:
+                for p in block.qubits:
+                    del open_blocks[p]
+                block.emit(out)
+
+    for el in circuit:
+        if isinstance(el, Gate):
+            targets = el.targets
+            block = open_blocks.get(targets[0])
+            if block is None or open_blocks.get(targets[-1]) is not block:
+                if len(targets) == 1:
+                    block = _Block(targets, [], [])
+                else:
+                    # join the targets' single-qubit blocks by kron; emit any other block on them
+                    parts = []
+                    for q in targets:
+                        part = open_blocks.pop(q, None)
+                        if part is not None and (len(part.qubits) > 1 or part.channels):
+                            open_blocks[q] = part
+                            flush((q,))
+                            part = None
+                        parts.append(part)
+                    a, b = (ID2 if p is None else _product(p.factors) for p in parts)
+                    gates = [g for p in parts if p is not None for g in p.gates]
+                    block = _Block(targets, gates, [np.kron(a, b)] if gates else [])
+                for q in targets:
+                    open_blocks[q] = block
+            block.gates.append(el)
+            block.factors.append(_block_factor(el.name, el.angle, targets, block.qubits))
+        elif isinstance(el, Barrier):
+            flush(list(open_blocks))
+            out.append(el)
+        elif isinstance(el, ChannelOp):
+            targets = el.channel.target_qubits
+            if isinstance(el.channel, GlobalDepolarizingChannel):
+                block = open_blocks.get(targets[0])
+                if block is not None and set(block.qubits) == set(targets):
+                    block.channels.append(el)
+                    continue
+            flush(targets)
+            out.append(el)
+        elif isinstance(el, Delay):
+            flush(el.qubits)
+            out.append(el)
+        elif isinstance(el, Measure):
+            flush((el.qubit,))
+            out.append(el)
+        else:
+            raise ValueError(f"unknown circuit element {el!r}")
+    flush(list(open_blocks))
     return out
 
 

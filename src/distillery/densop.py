@@ -10,7 +10,6 @@ which is the simplest and fastest representation at this scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -79,9 +78,10 @@ def _check_density_matrix(matrix: np.ndarray, n_qubits: int) -> None:
         raise ValueError(
             f"expected a {dim}x{dim} matrix for {n_qubits} qubits, got {matrix.shape}"
         )
+    if not np.isfinite(matrix).all():
+        bad = matrix[~np.isfinite(matrix)][0]
+        raise PhysicalityError(f"not finite: the matrix holds the entry {bad}")
     herm = np.max(np.abs(matrix - matrix.conj().T))
-    if not math.isfinite(herm):  # a NaN or infinite entry makes its row's deviation non-finite
-        raise PhysicalityError(f"not finite: max |rho - rho^dag| = {herm}")
     if herm > HERMITICITY_TOL:
         raise PhysicalityError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = np.trace(matrix)
@@ -275,14 +275,18 @@ def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
 
 
 def expectation(rho: DensityOperator, obs: np.ndarray, qubits: Sequence[int] | None = None) -> float:
-    """Tr(O rho) for a Hermitian observable on a subset of qubits."""
+    """Tr(O rho) for a Hermitian observable on ``qubits`` (its qubit order; all by default).
+
+    Computed on the reduced state of those qubits, so nothing is embedded.
+    """
     obs = np.asarray(obs, dtype=complex)
     if not np.max(np.abs(obs - obs.conj().T)) <= HERMITICITY_TOL:
         raise ValueError("observable must be Hermitian")
-    if qubits is None:
-        qubits = range(rho.n_qubits)
-    full = embed_on_qubits(obs, qubits, rho.n_qubits)
-    return float(np.real(np.trace(full @ rho.matrix)))
+    qubits = list(range(rho.n_qubits)) if qubits is None else list(qubits)
+    if obs.shape != (2 ** len(qubits),) * 2:
+        raise ValueError(f"observable shape {obs.shape} does not match {len(qubits)} qubits")
+    reduced = partial_trace_matrix(rho.matrix, qubits, rho.n_qubits)
+    return float(np.real(np.einsum("ij,ji->", obs, reduced)))
 
 
 def bell_state(n_pairs: int) -> DensityOperator:

@@ -30,6 +30,7 @@ from .circuit import (
     Gate,
     Measure,
     execute_exact,
+    simplify,
     with_gate_noise,
 )
 from .densop import DensityOperator, bell_pairs_on, ground_state
@@ -368,22 +369,27 @@ def mirror_clifford_layers(k: int, seed: int | np.random.Generator) -> list[Circ
     if k < 0:
         raise ValueError(f"layer count must be nonnegative, got {k}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    first: list[Gate] = []
-    for _ in range(k):
-        for a, b in MIRROR_PAIRS:
-            gens = (
-                Gate("H", (a,)),
-                Gate("H", (b,)),
-                Gate("S", (a,)),
-                Gate("S", (b,)),
-                Gate("CNOT", (a, b)),
-                Gate("CNOT", (b, a)),
-            )
-            picks = rng.integers(0, len(gens), size=_WORD_LENGTH)
-            first.extend(gens[i] for i in picks)
-    inverse_name = {"H": "H", "S": "Sdg", "Sdg": "S", "CNOT": "CNOT"}
-    second = [Gate(inverse_name[g.name], g.targets) for g in reversed(first)]
-    return list(first) + second
+    # each pair's generators and their inverses, built once per call
+    inverse_name = {"H": "H", "S": "Sdg", "CNOT": "CNOT"}
+    words = []
+    for a, b in MIRROR_PAIRS:
+        gens = (
+            Gate("H", (a,)),
+            Gate("H", (b,)),
+            Gate("S", (a,)),
+            Gate("S", (b,)),
+            Gate("CNOT", (a, b)),
+            Gate("CNOT", (b, a)),
+        )
+        words.append((gens, tuple(Gate(inverse_name[g.name], g.targets) for g in gens)))
+    picks = [
+        (gens, inverses, rng.integers(0, len(gens), size=_WORD_LENGTH).tolist())
+        for _ in range(k)
+        for gens, inverses in words
+    ]
+    first = [gens[i] for gens, _, word in picks for i in word]
+    second = [inverses[i] for _, inverses, word in reversed(picks) for i in reversed(word)]
+    return first + second
 
 
 @dataclass(frozen=True)
@@ -409,7 +415,9 @@ def mirror_twirl_experiment(
 
     The mirror layers run with two-qubit gate noise on freshly prepared
     pairs; the seed-averaged register state is then distilled with a perfect
-    check circuit, mirroring a twirl toward global depolarizing noise.
+    check circuit, mirroring a twirl toward global depolarizing noise. Each
+    noisy circuit runs through :func:`circuit.simplify`, so it executes as
+    one unitary and one depolarizing channel per pair.
     """
     if spec.n_pairs != 2:
         raise ValueError("the twirl experiment runs on a two-pair protocol")
@@ -421,7 +429,7 @@ def mirror_twirl_experiment(
         acc = np.zeros((2**n, 2**n), dtype=complex)
         for s in range(n_seeds):
             rng = np.random.default_rng(np.random.SeedSequence([base_seed, k, s]))
-            layers = with_gate_noise(mirror_clifford_layers(k, rng), uniform_error)
+            layers = simplify(with_gate_noise(mirror_clifford_layers(k, rng), uniform_error))
             result = execute_exact(layers, init)
             acc += result.unconditional_state().matrix
         out = distill(spec, acc / n_seeds)

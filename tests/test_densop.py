@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,22 @@ def test_expectation_rejects_non_hermitian():
         expectation(bell_state(1), np.array([[0, 1], [0, 0]]), qubits=[0])
 
 
+def test_expectation_rejects_a_mismatched_observable():
+    with pytest.raises(ValueError, match="does not match 1 qubits"):
+        expectation(bell_state(1), ZZ, qubits=[0])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_expectation_matches_the_embedded_observable(rng, n):
+    for qubits in ([n - 1, 0], [2, 0], [0, n - 1, 1], [n - 1], list(range(n))[::-1]):
+        rho = random_density(rng, n)
+        dim = 2 ** len(qubits)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        obs = a + a.conj().T
+        want = float(np.real(np.trace(embed_on_qubits(obs, qubits, n) @ rho.matrix)))
+        assert expectation(rho, obs, qubits) == pytest.approx(want, abs=1e-12)
+
+
 def test_bell_fidelity_of_maximally_mixed():
     mixed = DensityOperator(2, np.eye(4) / 4)
     assert bell_fidelity(mixed, (0, 1)) == pytest.approx(0.25, abs=1e-12)
@@ -167,6 +185,15 @@ def test_density_operator_invariants_enforced():
             DensityOperator(1, np.array([[bad, 0.0], [0.0, 1.0]]))
         with pytest.raises(PhysicalityError, match="not finite"):
             DensityOperator(1, np.array([[0.5, bad], [bad, 0.5]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_non_finite_entries_are_rejected_before_any_arithmetic(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mat in (np.array([[bad, 0.0], [0.0, 1.0]]), np.array([[0.5, bad], [bad, 0.5]])):
+            with pytest.raises(PhysicalityError, match="not finite"):
+                DensityOperator(1, mat)
 
 
 def test_unitary_op_rejects_non_unitary():

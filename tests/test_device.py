@@ -7,7 +7,7 @@ import pytest
 from distillery import densop, device
 
 from distillery.channels import channel_superoperator, damping_dephasing, gp_from_t1t2
-from distillery.circuit import Barrier, ChannelOp, execute_exact, postselect, with_gate_noise
+from distillery.circuit import Barrier, ChannelOp, Gate, execute_exact, postselect, with_gate_noise
 from distillery.densop import (
     DensityOperator,
     bell_fidelity_matrix,
@@ -287,6 +287,32 @@ def test_mirror_layers_deterministic_given_seed():
     b = mirror_clifford_layers(4, 123)
     assert a == b
     assert a != mirror_clifford_layers(4, 124)
+
+
+def _mirror_layers_built_per_layer(k, seed):
+    """The construction that builds fresh gates for every layer and every mirrored gate."""
+    rng = np.random.default_rng(seed)
+    first = []
+    for _ in range(k):
+        for a, b in device.MIRROR_PAIRS:
+            gens = (
+                Gate("H", (a,)), Gate("H", (b,)), Gate("S", (a,)), Gate("S", (b,)),
+                Gate("CNOT", (a, b)), Gate("CNOT", (b, a)),
+            )
+            picks = rng.integers(0, len(gens), size=20)
+            first.extend(gens[i] for i in picks)
+    inverse_name = {"H": "H", "S": "Sdg", "CNOT": "CNOT"}
+    return first + [Gate(inverse_name[g.name], g.targets) for g in reversed(first)]
+
+
+def test_mirror_layers_keep_the_per_layer_sequence():
+    for seed in (0, 7, 2024):
+        for k in (0, 1, 3, 12):
+            assert mirror_clifford_layers(k, seed) == _mirror_layers_built_per_layer(k, seed)
+    # a Generator is drawn from in the same order as a seed
+    rng = np.random.default_rng(np.random.SeedSequence([3, 12, 0]))
+    want = _mirror_layers_built_per_layer(12, np.random.SeedSequence([3, 12, 0]))
+    assert mirror_clifford_layers(12, rng) == want
 
 
 def test_twirl_points_track_global_depolarizing_theory():
