@@ -263,7 +263,7 @@ def apply_channel_matrix(rho: np.ndarray, ch: Channel, n_qubits: int) -> np.ndar
 
 def apply_channel(rho: DensityOperator, ch: Channel) -> DensityOperator:
     out = apply_channel_matrix(rho.matrix, ch, rho.n_qubits)
-    return DensityOperator(rho.n_qubits, out)
+    return DensityOperator._derived(rho.n_qubits, out)
 
 
 def channel_superoperator(ch: Channel) -> np.ndarray:

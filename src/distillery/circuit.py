@@ -328,7 +328,7 @@ class ExecutionResult:
         return tuple(out)
 
     def unconditional_state(self) -> DensityOperator:
-        return DensityOperator(self.n_qubits, self.matrix)
+        return DensityOperator._derived(self.n_qubits, self.matrix)
 
 
 def _validate_circuit(circuit: Sequence[CircuitElement], n_qubits: int) -> None:
@@ -398,7 +398,7 @@ def execute_exact(
             rho = apply_channel_matrix(rho, el.channel, n)
         elif isinstance(el, Barrier):
             if el.label:
-                snapshots[el.label] = DensityOperator(n, rho)
+                snapshots[el.label] = DensityOperator._derived(n, rho)
         elif isinstance(el, Measure):
             if BASIS_ROTATIONS[el.basis] is not None:
                 rho = apply_superoperator(rho, _rotation_superoperator(el.basis), (el.qubit,), n)
@@ -430,7 +430,7 @@ def postselect(result: ExecutionResult, rule: AgreementRule) -> tuple[float, Den
     p_accept = float(np.real(np.trace(kept)))
     if p_accept <= ZERO_PROB:
         raise NothingAcceptedError("post-selection accepted no measurement branch")
-    return p_accept, DensityOperator(result.n_qubits, kept / p_accept)
+    return p_accept, DensityOperator._derived(result.n_qubits, kept / p_accept)
 
 
 # ---------------------------------------------------------------------------

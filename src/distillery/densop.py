@@ -94,23 +94,43 @@ def _check_density_matrix(matrix: np.ndarray, n_qubits: int) -> None:
         raise PhysicalityError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
 
 
+def _check_n_qubits(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Trace-one Hermitian PSD matrix on ``n_qubits`` qubits.
 
-    Physicality is checked at construction; instances are immutable and safe
-    to share across threads.
+    Physicality is checked where a matrix enters from outside the library:
+    the public constructor runs the full check (finite entries, Hermiticity,
+    unit trace, minimum eigenvalue above ``PSD_FLOOR``). States the library
+    derives from checked states through validated maps (channels, unitaries,
+    partial traces, snapshots, post-selection) and the exactly built
+    :func:`bell_state` and :func:`ground_state` come from
+    :meth:`_derived`, which skips the check: such a map can leave the
+    physical set only by round-off. Instances are immutable and safe to
+    share across threads.
     """
 
     n_qubits: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+        _check_n_qubits(self.n_qubits)
         mat = np.asarray(self.matrix, dtype=complex)
         _check_density_matrix(mat, self.n_qubits)
         object.__setattr__(self, "matrix", mat)
+
+    @classmethod
+    def _derived(cls, n_qubits: int, matrix: np.ndarray) -> "DensityOperator":
+        """An unchecked state; ``matrix`` is a complex ndarray the library derived
+        from checked inputs through validated maps, and is stored as is."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n_qubits", n_qubits)
+        object.__setattr__(state, "matrix", matrix)
+        return state
 
     @property
     def dim(self) -> int:
@@ -271,7 +291,7 @@ def partial_trace_matrix(rho: np.ndarray, keep: Sequence[int], n_qubits: int) ->
 
 def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
     mat = partial_trace_matrix(rho.matrix, keep, rho.n_qubits)
-    return DensityOperator(len(list(keep)), mat)
+    return DensityOperator._derived(len(list(keep)), mat)
 
 
 def expectation(rho: DensityOperator, obs: np.ndarray, qubits: Sequence[int] | None = None) -> float:
@@ -301,14 +321,15 @@ def bell_state(n_pairs: int) -> DensityOperator:
     vec = BELL_VEC
     for _ in range(n_pairs - 1):
         vec = np.kron(vec, BELL_VEC)
-    return DensityOperator(2 * n_pairs, np.outer(vec, vec.conj()))
+    return DensityOperator._derived(2 * n_pairs, np.outer(vec, vec.conj()))
 
 
 def ground_state(n_qubits: int) -> DensityOperator:
     """The all-zeros state |0...0><0...0|."""
+    _check_n_qubits(n_qubits)
     mat = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
     mat[0, 0] = 1.0
-    return DensityOperator(n_qubits, mat)
+    return DensityOperator._derived(n_qubits, mat)
 
 
 def bell_pairs_on(pairs: Sequence[tuple[int, int]], n_qubits: int) -> np.ndarray:
@@ -326,7 +347,7 @@ def bell_pairs_on(pairs: Sequence[tuple[int, int]], n_qubits: int) -> np.ndarray
 
 def apply_unitary(rho: DensityOperator, u: UnitaryOp) -> DensityOperator:
     out = apply_matrix(rho.matrix, u.matrix, u.target_qubits, rho.n_qubits)
-    return DensityOperator(rho.n_qubits, out)
+    return DensityOperator._derived(rho.n_qubits, out)
 
 
 def bell_fidelity_matrix(rho: np.ndarray, pair: tuple[int, int], n_qubits: int) -> float:

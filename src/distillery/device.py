@@ -110,35 +110,60 @@ def check_chain(calib: DeviceCalibration, chain: Sequence[int]) -> None:
 
 
 def _require(data: dict, key: str, context: str):
+    if not isinstance(data, dict):
+        raise CalibrationError(f"{context}: expected an object, got {data!r}")
     if key not in data:
         raise CalibrationError(f"{context}: missing field {key!r}")
     return data[key]
 
 
+def _entries(data: dict, key: str) -> list:
+    entries = _require(data, key, "calibration")
+    if not isinstance(entries, list):
+        raise CalibrationError(f"{key}: expected a list, got {entries!r}")
+    return entries
+
+
+def _number(data: dict, key: str, context: str, integral: bool = False) -> float | int:
+    """``data[key]`` as a finite float, or with ``integral`` as an int; JSON
+    booleans, strings and fractional ids raise CalibrationError naming the field."""
+    value = _require(data, key, context)
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        number = float(value) if is_number else math.nan
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number) or (integral and not number.is_integer()):
+        path = key if context == "calibration" else f"{context}.{key}"
+        expected = "an integer" if integral else "a finite number"
+        raise CalibrationError(f"{path}: expected {expected}, got {value!r}")
+    return int(value) if integral else number
+
+
 def calibration_from_dict(data: dict) -> DeviceCalibration:
     qubits = []
-    for i, q in enumerate(_require(data, "qubits", "calibration")):
+    for i, q in enumerate(_entries(data, "qubits")):
         ctx = f"qubits[{i}]"
         qubits.append(
             QubitCalibration(
-                id=int(_require(q, "id", ctx)),
-                t1=float(_require(q, "T1", ctx)),
-                t2=float(_require(q, "T2", ctx)),
-                meas_error=float(_require(q, "meas_error", ctx)),
+                id=_number(q, "id", ctx, integral=True),
+                t1=_number(q, "T1", ctx),
+                t2=_number(q, "T2", ctx),
+                meas_error=_number(q, "meas_error", ctx),
             )
         )
     edges = []
-    for i, e in enumerate(_require(data, "edges", "calibration")):
+    for i, e in enumerate(_entries(data, "edges")):
         ctx = f"edges[{i}]"
         edges.append(
             EdgeCalibration(
-                q1=int(_require(e, "q1", ctx)),
-                q2=int(_require(e, "q2", ctx)),
-                zz_rate=float(_require(e, "zz_rate", ctx)),
-                gate_error=float(_require(e, "gate_error", ctx)),
+                q1=_number(e, "q1", ctx, integral=True),
+                q2=_number(e, "q2", ctx, integral=True),
+                zz_rate=_number(e, "zz_rate", ctx),
+                gate_error=_number(e, "gate_error", ctx),
             )
         )
-    return DeviceCalibration(tuple(qubits), tuple(edges), float(_require(data, "meas_delay", "calibration")))
+    return DeviceCalibration(tuple(qubits), tuple(edges), _number(data, "meas_delay", "calibration"))
 
 
 def calibration_to_dict(calib: DeviceCalibration) -> dict:
@@ -422,7 +447,7 @@ def mirror_twirl_experiment(
     if spec.n_pairs != 2:
         raise ValueError("the twirl experiment runs on a two-pair protocol")
     n = spec.n_qubits
-    init = DensityOperator(n, bell_pairs_on(list(spec.pairs), n))
+    init = DensityOperator._derived(n, bell_pairs_on(list(spec.pairs), n))
     uniform_error = lambda a, b: gate_error
     points = []
     for k in k_values:

@@ -110,12 +110,14 @@ def sample_counts(
         raise ValueError(f"shots must be positive, got {shots}")
     probs = outcome_distribution(rho, pair, basis, meas_error)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    # inverse-CDF sampling keeps the draw reproducible across numpy versions
+    # inverse-CDF sampling keeps the draw reproducible across numpy versions:
+    # outcome i takes the draws in [edges[i-1], edges[i]), so its count is the
+    # number of draws below edges[i] less the number below edges[i-1]
     edges = np.cumsum(probs)
     edges[-1] = 1.0
     draws = rng.random(shots)
-    idx = np.searchsorted(edges, draws, side="right")
-    counts = {out: int(np.sum(idx == i)) for i, out in enumerate(OUTCOMES)}
+    below = [np.count_nonzero(draws < edge) for edge in edges]
+    counts = dict(zip(OUTCOMES, np.diff(below, prepend=0).tolist()))
     return CountsTable(basis, counts, shots)
 
 

@@ -272,4 +272,4 @@ def general_distill(
         raise NothingAcceptedError("projection onto agreeing outcomes has zero weight")
     reduced = partial_trace_matrix(mat, [kept_pair_index, n_pairs + kept_pair_index], n) / p_accept
     fid = float(np.real(BELL_VEC.conj() @ reduced @ BELL_VEC))
-    return p_accept, DensityOperator(2, reduced), fid
+    return p_accept, DensityOperator._derived(2, reduced), fid

@@ -45,6 +45,7 @@ from distillery.device import (
     DeviceCalibration,
     EdgeCalibration,
     IdleSpec,
+    MIRROR_PAIRS,
     QubitCalibration,
     idle_sequence,
     mirror_clifford_layers,
@@ -254,14 +255,22 @@ def test_criterion_08_echo_cancellation():
 
 
 def test_criterion_09_mirror_twirling():
-    # noiseless mirror circuits are the identity
+    # noiseless mirror circuits are the identity: each pair's gates multiply
+    # as 4x4 matrices, and the register unitary is the kron of the two products
+    assert [q for pair in MIRROR_PAIRS for q in pair] == [0, 1, 2, 3]
+    pair_of = {q: pair for pair in MIRROR_PAIRS for q in pair}
+    on_pair = {}  # (name, targets) -> the gate's 4x4 matrix on its pair
     worst_identity = 0.0
     for seed in range(20):
         for k in (1, 5, 10):
-            layers = mirror_clifford_layers(k, seed)
-            u = np.eye(16, dtype=complex)
-            for g in layers:
-                u = embed_on_qubits(g.matrix(), g.targets, 4) @ u
+            pair_u = {pair: np.eye(4, dtype=complex) for pair in MIRROR_PAIRS}
+            for g in mirror_clifford_layers(k, seed):
+                pair = pair_of[g.targets[0]]
+                if (g.name, g.targets) not in on_pair:
+                    local = [pair.index(q) for q in g.targets]
+                    on_pair[g.name, g.targets] = embed_on_qubits(g.matrix(), local, 2)
+                pair_u[pair] = on_pair[g.name, g.targets] @ pair_u[pair]
+            u = np.kron(*pair_u.values())
             phase = u[0, 0]
             worst_identity = max(worst_identity, float(np.max(np.abs(u / phase - np.eye(16)))))
     # with gate noise, seed-averaged points track the perfect-distillation theory

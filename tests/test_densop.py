@@ -17,7 +17,9 @@ from distillery.densop import (
     PhysicalityError,
     UnitaryOp,
     _certified_above_floor,
+    _check_density_matrix,
     apply_unitary,
+    basis_bits,
     bell_fidelity,
     bell_pairs_on,
     bell_state,
@@ -266,13 +268,25 @@ def test_operations_return_physical_states(seed, n):
 
 
 def _ladder(n_pairs: int) -> UnitaryOp:
-    """CNOT(i, i+1) down each side of a side-major n-pair register."""
+    """CNOT(i, i+1) down each side of a side-major n-pair register, built as
+    the basis permutation it is (embedding each CNOT costs ~1 s at n = 10)."""
     n = 2 * n_pairs
-    u = np.eye(2**n, dtype=complex)
+    bits = basis_bits(n).copy()
     for side in (0, n_pairs):
         for i in range(n_pairs - 1):
-            u = embed_on_qubits(CNOT, (side + i, side + i + 1), n) @ u
+            bits[:, side + i + 1] ^= bits[:, side + i]
+    u = np.zeros((2**n, 2**n), dtype=complex)
+    u[bits @ (1 << np.arange(n - 1, -1, -1)), np.arange(2**n)] = 1.0
     return UnitaryOp(u, tuple(range(n)))
+
+
+def test_ladder_permutation_equals_the_cnot_product():
+    n = 6
+    u = np.eye(2**n, dtype=complex)
+    for side in (0, 3):
+        for i in range(2):
+            u = embed_on_qubits(CNOT, (side + i, side + i + 1), n) @ u
+    np.testing.assert_array_equal(_ladder(3).matrix, u)
 
 
 def test_physical_states_never_reach_the_eigvalsh_fallback(monkeypatch):
@@ -298,3 +312,90 @@ def test_physical_states_never_reach_the_eigvalsh_fallback(monkeypatch):
         rho = apply_channel(rho, depolarizing_local(p, qubit=n_pairs + i))
     p_accept, _, fidelity = general_distill(rho, _ladder(n_pairs))
     assert 0.0 < p_accept < 1.0 and 0.0 < fidelity < 1.0
+
+
+def test_every_derived_state_passes_the_full_check(monkeypatch):
+    """States the library derives skip the physicality check; on the staged,
+    idle, twirl and scale paths, each one would still pass it."""
+    from distillery.channels import apply_channel, depolarizing_local
+    from distillery.device import IdleSpec, idle_distill_experiment, load_calibration, mirror_twirl_experiment
+    from distillery.protocols import build_x2b, build_z2b, build_zx3b, general_distill
+    from distillery.sweep import run_staged_point
+
+    audit = {}  # path -> [(n_qubits, |Tr - 1|, lambda_min)]
+    path = [None]
+    unchecked = DensityOperator._derived
+
+    def audited(n_qubits, matrix):
+        _check_density_matrix(matrix, n_qubits)
+        # one eigvalsh at n = 10 takes ~1 s; the scale input's spectrum is taken below
+        lam = float(np.linalg.eigvalsh(matrix)[0]) if n_qubits <= 8 else None
+        audit.setdefault(path[0], []).append((n_qubits, abs(np.trace(matrix) - 1), lam))
+        return unchecked(n_qubits, matrix)
+
+    monkeypatch.setattr(DensityOperator, "_derived", staticmethod(audited))
+    for family in ("bitflip", "local_depol", "global_depol"):
+        path[0] = f"staged zx3b {family}"
+        row = run_staged_point(build_zx3b(), family, 0.03, 0.05, gate_error=5e-3, meas_error=1e-2)
+        assert 0.0 < row.p_accept < 1.0
+    for spec, calibration, chain in (
+        (build_x2b(), "kyiv_x2b", [0, 1, 2, 3]),
+        (build_zx3b(), "kyiv_3bell", [3, 4, 5, 6, 7, 8]),
+    ):
+        path[0] = f"idle {spec.name}"
+        (row,) = idle_distill_experiment(spec, chain, load_calibration(calibration), [50.0], IdleSpec())
+        assert 0.0 < row.p_accept < 1.0
+    path[0] = "twirl"
+    (point,) = mirror_twirl_experiment(build_z2b(), (4,), n_seeds=3, gate_error=0.004)
+    assert 0.0 < point.p_accept < 1.0
+    for n_pairs, probs in ((4, (0.05, 0.1, 0.15, 0.2)), (5, (0.05, 0.1, 0.15, 0.2, 0.25))):
+        path[0] = f"scale n={2 * n_pairs}"
+        n = 2 * n_pairs
+        rho = DensityOperator(n, bell_pairs_on([(i, n_pairs + i) for i in range(n_pairs)], n))
+        for i, p in enumerate(probs):
+            rho = apply_channel(rho, depolarizing_local(p, qubit=n_pairs + i))
+        if n > 8:
+            n_qubits, trace_err, _ = audit[path[0]].pop()
+            audit[path[0]].append((n_qubits, trace_err, float(np.linalg.eigvalsh(rho.matrix)[0])))
+        p_accept, _, fidelity = general_distill(rho, _ladder(n_pairs))
+        assert 0.0 < p_accept < 1.0 and 0.0 < fidelity < 1.0
+
+    assert sorted(audit) == sorted(
+        [f"staged zx3b {f}" for f in ("bitflip", "local_depol", "global_depol")]
+        + ["idle x2b", "idle zx3b", "twirl", "scale n=8", "scale n=10"]
+    )
+    records = [r for rs in audit.values() for r in rs]
+    worst_trace = max(err for _, err, _ in records)
+    worst_lam = min(lam for _, _, lam in records if lam is not None)
+    assert worst_trace <= 1e-10 and worst_lam >= PSD_FLOOR
+    print(
+        f"derived-state audit: {len(records)} states on {len(audit)} paths; "
+        f"worst |Tr - 1| = {worst_trace:.1e}, lambda_min = {worst_lam:.1e}"
+    )
+
+
+def test_states_entering_the_api_are_still_checked(monkeypatch, tmp_path, capsys):
+    from distillery import cli, densop
+    from distillery.circuit import Barrier, circuit_to_json
+    from distillery.protocols import build_z2b, distill, run_checks
+
+    # distill and run_checks take a raw caller matrix
+    negative = np.diag([1.5, -0.5] + [0.0] * 14).astype(complex)
+    for run in (distill, run_checks):
+        with pytest.raises(PhysicalityError, match="min eigenvalue"):
+            run(build_z2b(), negative)
+    # the CLI's Bell-pair initial state is checked once, and nothing after it
+    checks = []
+    check = densop._check_density_matrix
+    monkeypatch.setattr(densop, "_check_density_matrix", lambda *a: checks.append(a[1]) or check(*a))
+    path = tmp_path / "idle.json"
+    path.write_text(circuit_to_json([Barrier("t")]))
+    argv = ["simulate", "--circuit", str(path), "--qubits", "4", "--fidelity-pair", "0,2"]
+    assert cli.main(argv + ["--init-bell-pairs", "0-2,1-3"]) == 0
+    assert checks == [4]
+    assert cli.main(argv) == 0
+    assert checks == [4]
+    # the unchecked ground state still refuses a register past the cap
+    argv[argv.index("4")] = "13"
+    assert cli.main(argv) == 2
+    assert "n_qubits must be in [1, 12]" in capsys.readouterr().err

@@ -3,9 +3,10 @@ import pytest
 
 from conftest import random_density
 from distillery.channels import apply_channel, depolarizing_local
-from distillery.densop import DensityOperator, bell_fidelity, bell_state
+from distillery.densop import DensityOperator, bell_fidelity, bell_state, ground_state
 from distillery.estimation import (
     BASES,
+    OUTCOMES,
     CountsTable,
     counts_from_csv,
     counts_to_csv,
@@ -58,6 +59,34 @@ def test_sampling_is_deterministic_given_seed():
     assert a.counts == b.counts
     c = sample_counts(bell_state(1), (0, 1), "XX", 1000, 0.05, seed=43)
     assert a.counts != c.counts
+
+
+def _searchsorted_counts(probs, shots, seed):
+    """The tables sample_counts drew with searchsorted and one mask per outcome."""
+    rng = np.random.default_rng(seed)
+    edges = np.cumsum(probs)
+    edges[-1] = 1.0
+    idx = np.searchsorted(edges, rng.random(shots), side="right")
+    return {out: int(np.sum(idx == i)) for i, out in enumerate(OUTCOMES)}
+
+
+@pytest.mark.parametrize(
+    "state, basis, meas_error",
+    [
+        (bell_state(1), "ZZ", 0.0),  # outcomes 01 and 10 have probability 0
+        (bell_state(1), "YY", 0.0),  # 00 and 11 have probability 0
+        (ground_state(2), "ZZ", 0.0),  # only 00
+        (DensityOperator(2, np.diag([0.0, 1.0, 0.0, 0.0])), "ZZ", 0.0),  # only 01
+        (apply_channel(bell_state(1), depolarizing_local(0.3, qubit=1)), "XX", 0.05),
+        (random_density(np.random.default_rng(7), 2), "YY", 0.02),
+    ],
+)
+def test_sample_counts_matches_the_searchsorted_tables(state, basis, meas_error):
+    probs = outcome_distribution(state, (0, 1), basis, meas_error)
+    for seed in range(4):
+        for shots in (1, 2, 7, 1000, 100_000):
+            table = sample_counts(state, (0, 1), basis, shots, meas_error, seed)
+            assert table.counts == _searchsorted_counts(probs, shots, seed)
 
 
 def test_estimate_from_perfect_counts():

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -444,6 +445,47 @@ def test_simulate_idle_and_idle_sweep_give_equal_rows(tmp_path, monkeypatch, fla
 def test_cli_simulate_idle_names_the_segment_count(capsys):
     assert cli.main(["simulate-idle", *IDLE_RUN, "--segments", "6"]) == 2
     assert "error: n_segments: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["qubits[1].id", "qubits[1].T1", "qubits[1].T2", "qubits[1].meas_error", "edges[2].q1",
+     "edges[2].q2", "edges[2].zz_rate", "edges[2].gate_error", "meas_delay"],
+)
+def test_cli_simulate_idle_names_a_mistyped_calibration_field(tmp_path, capsys, path):
+    integral = path.rsplit(".", 1)[-1] in ("id", "q1", "q2")
+    bad_values = [True, False, "abc", "1", None, [1.0], math.nan, math.inf, -math.inf, 10**400]
+    bad_values += [0.9, 1.5] if integral else []
+    for bad in bad_values:
+        data = device.calibration_to_dict(device.load_calibration("kyiv_z2b"))
+        if "." in path:
+            group, field = path.split(".")
+            entry = data[group.split("[")[0]][int(group[-2])]
+        else:
+            entry, field = data, path
+        entry[field] = bad
+        calibration = tmp_path / "calibration.json"
+        calibration.write_text(json.dumps(data))
+        assert cli.main(["simulate-idle", *IDLE_RUN[2:], "--calibration", str(calibration)]) == 2
+        expected = "an integer" if integral else "a finite number"
+        assert f"error: {path}: expected {expected}, got {bad!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "document, complaint",
+    [
+        ([], "calibration: expected an object"),
+        ({"qubits": 5, "edges": [], "meas_delay": 1.0}, "qubits: expected a list"),
+        ({"qubits": {"id": 0}, "edges": [], "meas_delay": 1.0}, "qubits: expected a list"),
+        ({"qubits": [5], "edges": [], "meas_delay": 1.0}, "qubits[0]: expected an object"),
+        ({"qubits": [], "edges": [None], "meas_delay": 1.0}, "edges[0]: expected an object"),
+    ],
+)
+def test_cli_simulate_idle_names_a_misshapen_calibration(tmp_path, capsys, document, complaint):
+    calibration = tmp_path / "calibration.json"
+    calibration.write_text(json.dumps(document))
+    assert cli.main(["simulate-idle", *IDLE_RUN[2:], "--calibration", str(calibration)]) == 2
+    assert f"error: {complaint}, got " in capsys.readouterr().err
 
 
 def test_cli_simulate_circuit(tmp_path, capsys):
