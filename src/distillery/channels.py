@@ -234,24 +234,29 @@ def _mixed_factors(targets: tuple[int, ...], n_qubits: int) -> tuple[np.ndarray,
 def apply_global_depolarizing_matrix(
     rho: np.ndarray, lam: float, targets: Sequence[int], n_qubits: int
 ) -> np.ndarray:
-    """Closed form of the global depolarizing action on a subset (raw arrays)."""
+    """Closed form of the global depolarizing action on a subset (raw arrays).
+
+    ``rho`` may be a stack of shape (..., 2^n, 2^n); each matrix is mapped.
+    """
     if lam == 0.0:
         return rho.copy()
     k = len(targets)
+    stack = rho.shape[:-2]
     if k < n_qubits:
         targets = tuple(sorted(targets))
         if len(set(targets)) != k or targets[0] < 0 or targets[-1] >= n_qubits:
             raise ValueError(f"targets {targets} must be distinct qubits of a {n_qubits}-qubit register")
         # trace the targets out highest qubit first, as partial_trace_matrix does
-        t = rho.reshape((2,) * (2 * n_qubits))
+        t = rho.reshape(stack + (2,) * (2 * n_qubits))
         n = n_qubits
         for q in reversed(targets):
-            t = np.trace(t, axis1=q, axis2=q + n)
+            t = np.trace(t, axis1=len(stack) + q, axis2=len(stack) + q + n)
             n -= 1
         eye, reduced_shape = _mixed_factors(targets, n_qubits)
-        mixed = (eye * t.reshape(reduced_shape)).reshape(rho.shape)
+        mixed = (eye * t.reshape(stack + reduced_shape)).reshape(rho.shape)
     else:
-        mixed = np.trace(rho) * np.eye(2**k, dtype=complex) / 2**k
+        trace = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+        mixed = trace * np.eye(2**k, dtype=complex) / 2**k
     return (1 - lam) * rho + lam * mixed
 
 

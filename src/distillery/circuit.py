@@ -7,6 +7,13 @@ keeps the accepted blocks. Gate noise is part of the circuit:
 :func:`with_gate_noise` follows each two-qubit gate with an explicit
 two-qubit global depolarizing channel. Readout noise is the executor's one
 knob: a bit flip on each measurement outcome.
+
+Two interpreters walk a circuit, and each handles every element type:
+:func:`execute_exact` maps a state forward (the Schroedinger picture), and
+:func:`pull_back` maps observables backward through the adjoint of the same
+channel (the Heisenberg picture). Tr(O C(rho)) = Tr(C^dag(O) rho), so an
+observable pulled back once scores any number of input states; that is how
+the distillation checks are scored (:func:`protocols.pull_back_checks`).
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .channels import (
     GlobalDepolarizingChannel,
     KrausChannel,
     apply_channel_matrix,
+    apply_global_depolarizing_matrix,
 )
 from .channels import Channel as NoiseChannel
 from .densop import (
@@ -414,23 +422,122 @@ def execute_exact(
 AgreementRule = Callable[[Mapping[str, int]], bool]
 
 
+def _accepted(n_qubits: int, measured: Sequence[tuple[str, int]], rule: AgreementRule) -> np.ndarray:
+    """The basis states whose measured bits, read as ``(label, qubit)`` outcomes, the rule accepts."""
+    labels = [label for label, _ in measured]
+    verdicts = [rule(dict(zip(labels, o))) for o in itertools.product((0, 1), repeat=len(labels))]
+    # outcome index of each basis state: the measured bits, the first the most significant
+    weights = 1 << np.arange(len(labels))[::-1]
+    return np.array(verdicts, dtype=bool)[basis_bits(n_qubits)[:, [q for _, q in measured]] @ weights]
+
+
+def accepted_states(circuit: Sequence[CircuitElement], n_qubits: int, rule: AgreementRule) -> np.ndarray:
+    """The diagonal of the projector P onto the outcomes of ``circuit``'s measurements that the rule accepts.
+
+    A boolean vector over the register's basis states; :func:`postselect`
+    keeps exactly the blocks it marks.
+    """
+    measured = [(el.label, el.qubit) for el in circuit if isinstance(el, Measure)]
+    return _accepted(n_qubits, measured, rule)
+
+
 def postselect(result: ExecutionResult, rule: AgreementRule) -> tuple[float, DensityOperator]:
     """Keep the outcomes the rule accepts; return (p_accept, renormalized mixture).
 
     The measured qubits are dephased, so the accepted blocks are one masked
     copy of the matrix, and p_accept is its trace.
     """
-    labels = [label for label, _ in result.measured]
-    bits = basis_bits(result.n_qubits)[:, [q for _, q in result.measured]]
-    accepted = np.zeros(2**result.n_qubits, dtype=bool)
-    for outcome in itertools.product((0, 1), repeat=len(labels)):
-        if rule(dict(zip(labels, outcome))):
-            accepted |= np.all(bits == outcome, axis=1)
+    accepted = _accepted(result.n_qubits, result.measured, rule)
     kept = np.where(np.outer(accepted, accepted), result.matrix, 0)
     p_accept = float(np.real(np.trace(kept)))
     if p_accept <= ZERO_PROB:
         raise NothingAcceptedError("post-selection accepted no measurement branch")
     return p_accept, DensityOperator._derived(result.n_qubits, kept / p_accept)
+
+
+# the dephasing keeps the components (r, c) with r == c of the row-major vectorization
+_DEPHASE_DIAGONAL = np.array([1.0, 0.0, 0.0, 1.0])
+
+
+def _measurement_superoperator(basis: str, meas_error: float) -> np.ndarray:
+    """A measurement as :func:`execute_exact` applies it, as one superoperator on its
+    qubit: the basis rotation, the readout flip, then the dephasing."""
+    sup = np.eye(4, dtype=complex)
+    if BASIS_ROTATIONS[basis] is not None:
+        sup = _rotation_superoperator(basis) @ sup
+    if meas_error > 0.0:
+        sup = (1 - meas_error) * sup + meas_error * (_gate_superoperator("X", None) @ sup)
+    return _DEPHASE_DIAGONAL[:, None] * sup
+
+
+def _depolarizing_superoperator(lam: float, k: int) -> np.ndarray:
+    """(1 - lam) rho + lam Tr(rho) I / 2^k on k qubits, as a superoperator (real and symmetric)."""
+    identity = np.eye(2**k).ravel()
+    return (1 - lam) * np.eye(4**k) + (lam / 2**k) * np.outer(identity, identity)
+
+
+def _element_superoperator(el: CircuitElement, meas_error: float) -> tuple[tuple[int, ...], np.ndarray]:
+    """The map :func:`execute_exact` applies for a gate, a Kraus or a one- or
+    two-qubit depolarizing channel, or a measurement, as (targets, superoperator)."""
+    if isinstance(el, Gate):
+        return el.targets, _gate_superoperator(el.name, el.angle)
+    if isinstance(el, Measure):
+        return (el.qubit,), _measurement_superoperator(el.basis, meas_error)
+    ch = el.channel
+    if isinstance(ch, GlobalDepolarizingChannel):
+        return ch.target_qubits, _depolarizing_superoperator(ch.lam, len(ch.target_qubits))
+    return ch.target_qubits, superoperator(ch.kraus_ops)
+
+
+def pull_back(
+    circuit: Sequence[CircuitElement],
+    observables: np.ndarray,
+    n_qubits: int,
+    meas_error: float = 0.0,
+) -> np.ndarray:
+    """Each observable O of a stack (..., 2^n, 2^n) seen through the circuit: C^dag(O).
+
+    C is the map :func:`execute_exact` applies with readout error
+    ``meas_error``, so ``Re vdot(C^dag(O), rho) = Tr(O C(rho))`` for every
+    state rho. The circuit is walked backwards and each element applies the
+    conjugate transpose of its superoperator: a gate's or a Kraus channel's,
+    global depolarizing's (self-adjoint), and a measurement's rotation,
+    readout flip (self-adjoint) and dephasing (self-adjoint) as one, so it
+    dephases first and undoes its rotation last. Barriers and delays act as
+    nothing. Adjacent elements on the same targets (a gate and its noise)
+    multiply into one superoperator before it is applied. Depolarizing on
+    more than two qubits, whose superoperator has 16^k entries, applies in
+    closed form instead. The circuit is validated as :func:`execute_exact`
+    validates it.
+    """
+    if not 0.0 <= meas_error <= 1.0:
+        raise ValueError(f"measurement error must be in [0, 1], got {meas_error}")
+    n = n_qubits
+    _validate_circuit(circuit, n)
+
+    # (targets, adjoint superoperator) in the order they apply, or (targets, lam)
+    # for a depolarizing channel applied in closed form
+    steps: list[tuple[tuple[int, ...], np.ndarray | float]] = []
+    for el in reversed(circuit):
+        if isinstance(el, (Barrier, Delay)):
+            continue
+        if isinstance(el, ChannelOp) and isinstance(el.channel, GlobalDepolarizingChannel):
+            if len(el.channel.target_qubits) > 2:
+                steps.append((el.channel.target_qubits, el.channel.lam))
+                continue
+        targets, sup = _element_superoperator(el, meas_error)
+        if steps and steps[-1][0] == targets and isinstance(steps[-1][1], np.ndarray):
+            steps[-1] = (targets, sup.conj().T @ steps[-1][1])
+        else:
+            steps.append((targets, sup.conj().T))
+
+    obs = np.asarray(observables, dtype=complex)
+    for targets, step in steps:
+        if isinstance(step, np.ndarray):
+            obs = apply_superoperator(obs, step, targets, n)
+        else:
+            obs = apply_global_depolarizing_matrix(obs, step, targets, n)
+    return obs
 
 
 # ---------------------------------------------------------------------------

@@ -212,16 +212,20 @@ def superoperator(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _target_axes(targets: tuple[int, ...], n_qubits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Transpose of the (2,) * 2n tensor that puts the target row axes, then the
-    target column axes first, and its inverse; ValueError for bad targets."""
+def _target_axes(
+    targets: tuple[int, ...], n_qubits: int, stacked: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Transpose of the tensor of ``stacked`` stack axes and (2,) * 2n register
+    axes that puts the target row axes, then the target column axes first
+    (the stack axes after them), and its inverse; ValueError for bad targets."""
     if len(set(targets)) != len(targets):
         raise ValueError(f"target qubits must be distinct, got {list(targets)}")
     for q in targets:
         if not 0 <= q < n_qubits:
             raise ValueError(f"qubit index {q} out of range for {n_qubits} qubits")
     rest = [q for q in range(n_qubits) if q not in targets]
-    perm = (*targets, *(n_qubits + q for q in targets), *rest, *(n_qubits + q for q in rest))
+    axes = [stacked + q for q in (*targets, *(n_qubits + q for q in targets))]
+    perm = (*axes, *range(stacked), *(stacked + q for q in (*rest, *(n_qubits + q for q in rest))))
     return perm, tuple(int(a) for a in np.argsort(perm))
 
 
@@ -230,14 +234,15 @@ def apply_superoperator(rho: np.ndarray, sup: np.ndarray, targets: Sequence[int]
 
     One matmul on the target row and column axes; the rest of the register
     is never embedded. The operator's qubit order follows ``targets``.
+    ``rho`` may be a stack of shape (..., 2^n, 2^n); each matrix is mapped.
     """
-    perm, inverse = _target_axes(tuple(targets), n_qubits)
+    stack = rho.shape[:-2]
+    perm, inverse = _target_axes(tuple(targets), n_qubits, len(stack))
     k = 4 ** len(targets)
     if sup.shape != (k, k):
         raise ValueError(f"superoperator shape {sup.shape} does not match {len(targets)} targets")
-    shape = (2,) * (2 * n_qubits)
-    t = rho.reshape(shape).transpose(perm).reshape(k, -1)
-    return (sup @ t).reshape(shape).transpose(inverse).reshape(rho.shape)
+    t = rho.reshape(stack + (2,) * (2 * n_qubits)).transpose(perm)
+    return (sup @ t.reshape(k, -1)).reshape(t.shape).transpose(inverse).reshape(rho.shape)
 
 
 def apply_matrix(rho: np.ndarray, op: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:

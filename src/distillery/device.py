@@ -34,7 +34,7 @@ from .circuit import (
     with_gate_noise,
 )
 from .densop import DensityOperator, bell_pairs_on, ground_state
-from .protocols import ProtocolSpec, SweepRow, distill, pair_fidelities, run_checks
+from .protocols import ProtocolSpec, SweepRow, distill, pair_fidelities, pull_back_checks, score_checks
 
 
 class CalibrationError(ValueError):
@@ -341,7 +341,8 @@ def idle_distill_experiment(
 ) -> list[SweepRow]:
     """Prepare, swap, idle for each delay, then distill, on calibrated qubits.
 
-    Preparation and swaps run once, and each delay continues from their state.
+    Preparation and swaps run once, and each delay continues from their
+    state; the check stage is pulled back once and scores each delay's state.
     All gate and measurement noise comes from the calibration (edge gate
     errors as two-qubit global depolarizing, per-qubit readout bit flips);
     the kept qubits pick up their measurement-delay damping while the check
@@ -365,13 +366,14 @@ def idle_distill_experiment(
                 ChannelOp(damping_dephasing(gp_from_t1t2(calib.meas_delay, q.t1, q.t2), qubit=pos))
             )
     check = with_gate_noise(_check_stage(spec, meas_err, meas_delay_damping), edge_err)
+    pulled = pull_back_checks(spec, check)
     rows = []
     for delay in delays_us:
         # the idle window's ZZ phases are coherent crosstalk, not noisy gates
         idle_stage = idle_sequence(chain, delay, idle, calib)
         at_t2 = execute_exact(idle_stage, at_t1).matrix
         fids = pair_fidelities(spec, at_t2)
-        f_after, p_accept = run_checks(spec, at_t2, check)
+        f_after, p_accept = score_checks(pulled, at_t2)
         rows.append(SweepRow(float(delay), fids, max(fids), f_after, p_accept))
     return rows
 

@@ -18,12 +18,13 @@ import numpy as np
 from .channels import Channel as NoiseChannel
 from .channels import apply_channel_matrix
 from .circuit import (
+    ZERO_PROB,
     CircuitElement,
     Gate,
     Measure,
     NothingAcceptedError,
-    execute_exact,
-    postselect,
+    accepted_states,
+    pull_back,
 )
 from .densop import (
     BELL_VEC,
@@ -194,6 +195,56 @@ def pair_fidelities(spec: ProtocolSpec, rho: np.ndarray) -> tuple[float, ...]:
     return tuple(bell_fidelity_matrix(rho, pair, spec.n_qubits) for pair in spec.pairs)
 
 
+def _kept_bell_observable(pair: tuple[int, int], accepted: np.ndarray, n_qubits: int) -> np.ndarray:
+    """P Phi P: the Bell projector on ``pair`` (identity on the rest) between
+    two copies of the 0/1 diagonal projector ``accepted``, as a full-register matrix.
+
+    Entry (i, j) of the Bell projector is 1/2 when basis states i and j each
+    read equal bits on the pair and agree on every other qubit, else 0.
+    """
+    bits = basis_bits(n_qubits)
+    a, b = pair
+    rest = [q for q in range(n_qubits) if q not in pair]
+    rest_index = bits[:, rest] @ (1 << np.arange(len(rest))[::-1])
+    kept = accepted & (bits[:, a] == bits[:, b])
+    return 0.5 * (np.outer(kept, kept) & (rest_index[:, None] == rest_index[None, :]))
+
+
+def pull_back_checks(
+    spec: ProtocolSpec,
+    check: Sequence[CircuitElement] | None = None,
+    meas_error: float = 0.0,
+) -> np.ndarray:
+    """The check stage in the Heisenberg picture: the stack (A, B) = (C^dag(P), C^dag(P Phi P)).
+
+    C is ``check`` (default the spec's perfect circuit) with readout error
+    ``meas_error``, P the projector onto the outcomes ``spec.accepts`` and
+    Phi the Bell projector on the kept pair. For every register state rho
+    right before the checks, Tr(A rho) is the acceptance and
+    Tr(B rho) / Tr(A rho) the kept pair's Bell fidelity after post-selection,
+    so one pull-back scores any number of states (:func:`score_checks`).
+    """
+    n = spec.n_qubits
+    circuit = spec.circuit if check is None else check
+    accepted = accepted_states(circuit, n, spec.accepts)
+    stack = np.zeros((2, 2**n, 2**n), dtype=complex)
+    np.fill_diagonal(stack[0], accepted)
+    stack[1] = _kept_bell_observable(spec.kept_pair, accepted, n)
+    return pull_back(circuit, stack, n, meas_error)
+
+
+def score_checks(pulled: np.ndarray, rho: np.ndarray) -> tuple[float, float]:
+    """The kept pair's Bell fidelity after post-selection, and the acceptance, of ``rho`` (raw).
+
+    ``pulled`` comes from :func:`pull_back_checks`. Raises
+    NothingAcceptedError when the acceptance is at most ``ZERO_PROB``.
+    """
+    p_accept = float(np.real(np.vdot(pulled[0], rho)))
+    if p_accept <= ZERO_PROB:
+        raise NothingAcceptedError("post-selection accepted no measurement branch")
+    return float(np.real(np.vdot(pulled[1], rho))) / p_accept, p_accept
+
+
 def run_checks(
     spec: ProtocolSpec,
     rho: np.ndarray,
@@ -202,15 +253,15 @@ def run_checks(
 ) -> tuple[float, float]:
     """The kept pair's Bell fidelity after post-selection, and the acceptance.
 
-    ``check`` (default the spec's perfect circuit) runs from ``rho`` with
-    readout error ``meas_error``; the accepted outcomes are kept. Raises
-    NothingAcceptedError when no outcome passes the checks.
+    ``rho`` gets the full physicality check. The check circuit ``check``
+    (default the spec's perfect circuit), with readout error ``meas_error``,
+    is pulled back (:func:`pull_back_checks`) and scores ``rho``; the result
+    equals running it forward from ``rho`` and post-selecting
+    (:func:`circuit.execute_exact`, :func:`circuit.postselect`) up to
+    round-off. Raises NothingAcceptedError when no outcome passes the checks.
     """
-    n = spec.n_qubits
-    circuit = spec.circuit if check is None else check
-    result = execute_exact(circuit, DensityOperator(n, rho), meas_error)
-    p_accept, kept = postselect(result, spec.accepts)
-    return bell_fidelity_matrix(kept.matrix, spec.kept_pair, n), p_accept
+    state = DensityOperator(spec.n_qubits, rho)
+    return score_checks(pull_back_checks(spec, check, meas_error), state.matrix)
 
 
 def distill(
@@ -222,7 +273,8 @@ def distill(
     """One recurrence step from the register state right before the checks.
 
     F_b is the best Bell fidelity over the spec's pairs; F_a and the
-    acceptance come from :func:`run_checks`.
+    acceptance come from :func:`run_checks`, which scores the checks in the
+    Heisenberg picture.
     """
     return Outcome(max(pair_fidelities(spec, rho)), *run_checks(spec, rho, check, meas_error))
 
@@ -268,7 +320,7 @@ def general_distill(
     keep = np.all(bits[:, others] == bits[:, [n_pairs + i for i in others]], axis=1)
     mat = mat * np.outer(keep, keep)  # the projector is a 0/1 diagonal, so this is exact
     p_accept = float(np.real(np.trace(mat)))
-    if p_accept <= 1e-14:
+    if p_accept <= ZERO_PROB:
         raise NothingAcceptedError("projection onto agreeing outcomes has zero weight")
     reduced = partial_trace_matrix(mat, [kept_pair_index, n_pairs + kept_pair_index], n) / p_accept
     fid = float(np.real(BELL_VEC.conj() @ reduced @ BELL_VEC))

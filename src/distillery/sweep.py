@@ -12,7 +12,9 @@ post-selected outcome.
 Everything before the waiting error (:func:`device.staged_prefix`) depends
 only on the protocol, the gate error, the asymmetry and the swap
 decomposition, so a sweep runs that prefix once per gate error and continues
-every point from its state at barrier t1.
+every point from its state at barrier t1. The check stage changes only with
+the gate and readout errors, so it is pulled back once per pair of them
+(:func:`protocols.pull_back_checks`) and scores each point's state at t2.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .circuit import (
     Barrier,
     ChannelOp,
     CircuitElement,
+    Gate,
     NothingAcceptedError,
     execute_exact,
     with_gate_noise,
@@ -44,7 +47,14 @@ from .device import (
     load_calibration,
     staged_prefix,
 )
-from .protocols import ProtocolSpec, SweepRow, get_protocol, pair_fidelities, run_checks
+from .protocols import (
+    ProtocolSpec,
+    SweepRow,
+    get_protocol,
+    pair_fidelities,
+    pull_back_checks,
+    score_checks,
+)
 
 CSV_HEADER_COMMENT = "# distillery-csv v1"
 
@@ -342,22 +352,18 @@ def _run_prefix(
     return fids, snapshots["t1"]
 
 
-def _run_point(
-    spec: ProtocolSpec,
-    family: str,
-    wait_value: float,
-    gate_error: float,
-    meas_error: float,
-    fids: tuple[float, ...],
-    at_t1: DensityOperator,
-) -> SweepRow:
-    """One grid point: the wait from the prefix's t1 state, then the noisy checks."""
+def _wait(spec: ProtocolSpec, family: str, wait_value: float, at_t1: DensityOperator) -> np.ndarray:
+    """The register state at barrier t2: the waiting error applied to the prefix's t1 state."""
     wait = _wait_elements(family, spec.n_pairs, wait_value, spec.n_qubits)
-    at_t2 = execute_exact(wait, at_t1).matrix
-    check = with_gate_noise(spec.circuit, lambda a, b: gate_error)
-    f_before = max(pair_fidelities(spec, at_t2))
+    return execute_exact(wait, at_t1).matrix
+
+
+def _scored_row(
+    wait_value: float, fids: tuple[float, ...], f_before: float, pulled: np.ndarray, at_t2: np.ndarray
+) -> SweepRow:
+    """One grid point's row: the pulled-back noisy checks score its t2 state."""
     try:
-        f_after, p_accept = run_checks(spec, at_t2, check, meas_error)
+        f_after, p_accept = score_checks(pulled, at_t2)
     except NothingAcceptedError:
         return SweepRow(wait_value, fids, f_before, None, 0.0)
     return SweepRow(wait_value, fids, f_before, f_after, p_accept)
@@ -374,39 +380,45 @@ def run_staged_point(
 ) -> SweepRow:
     """One staged grid point with uniform gate error g and readout error m."""
     fids, at_t1 = _run_prefix(spec, asymmetry_p, gate_error, swap_decomposition)
-    return _run_point(spec, family, wait_value, gate_error, meas_error, fids, at_t1)
+    at_t2 = _wait(spec, family, wait_value, at_t1)
+    pulled = pull_back_checks(spec, with_gate_noise(spec.circuit, lambda a, b: gate_error), meas_error)
+    return _scored_row(wait_value, fids, max(pair_fidelities(spec, at_t2)), pulled, at_t2)
 
 
-def pair_fidelities_at_prep(
-    spec: ProtocolSpec, asymmetry_p: float, gate_error: float = 0.0
-) -> tuple[float, ...]:
-    """Per-pair fidelities at the first barrier, before any swap."""
-    circuit = staged_prefix(spec.n_pairs, "single_gate", asymmetry_p)
-    cut = circuit[: circuit.index(Barrier("t0")) + 1]
-    cut = with_gate_noise(cut, lambda a, b: gate_error)
-    result = execute_exact(cut, ground_state(spec.n_qubits))
-    at_t0 = result.snapshots["t0"].matrix
-    return tuple(
-        bell_fidelity_matrix(at_t0, pair, spec.n_qubits) for pair in LOCAL_PAIRS[spec.n_pairs]
-    )
+def _prep_fidelity(asymmetry_p: float, gate_error: float) -> float:
+    """Pair (0, 1)'s Bell fidelity at barrier t0 of :func:`device.staged_prefix`.
+
+    Only the pair's own elements reach it: H, CNOT and its gate noise, then
+    the asymmetry depolarizing on qubit 0. So it runs as a 2-qubit circuit,
+    and with ``asymmetry_p = 0`` it is the fidelity of every undegraded pair.
+    """
+    circuit = [Gate("H", (0,)), Gate("CNOT", (0, 1))]
+    if asymmetry_p > 0:
+        circuit.append(ChannelOp(depolarizing_local(asymmetry_p, qubit=0)))
+    rho = execute_exact(with_gate_noise(circuit, lambda a, b: gate_error), ground_state(2)).matrix
+    return bell_fidelity_matrix(rho, (0, 1), 2)
 
 
 ASYMMETRY_TOL = 1e-6
 
 
-def solve_asymmetry(spec: ProtocolSpec, target_ratio: float, gate_error: float = 0.0) -> float:
-    """Depolarizing strength making the degraded pairs hit F1 = ratio * F2.
+def solve_asymmetry(target_ratio: float, gate_error: float = 0.0) -> float:
+    """Depolarizing strength making the degraded pairs hit F1 = ratio * F2 at barrier t0.
 
     Bisection, to within ``ASYMMETRY_TOL``, against the simulated fidelity
-    ratio at the first barrier; circuit noise shifts the naive 1 - p = ratio
-    relation, so the target is matched on the simulated ratio directly.
+    ratio; circuit noise shifts the naive 1 - p = ratio relation, so the
+    target is matched on the simulated ratio directly. The asymmetry channel
+    touches pair (0, 1) and never pair (2, 3), so each step simulates pair
+    (0, 1) alone (:func:`_prep_fidelity`) and divides by the undegraded
+    pair's fidelity, computed once. The ratio, and so p, is the same for
+    every protocol.
     """
     if not 0.0 < target_ratio <= 1.0:
         raise ConfigError(f"asymmetry_ratio: must be in (0, 1], got {target_ratio}")
+    f2 = _prep_fidelity(0.0, gate_error)
 
     def ratio_at(p: float) -> float:
-        fids = pair_fidelities_at_prep(spec, p, gate_error)
-        return fids[0] / fids[1]
+        return _prep_fidelity(p, gate_error) / f2
 
     lo, hi = 0.0, 1.0
     if ratio_at(hi) > target_ratio:
@@ -426,9 +438,11 @@ def run_sweep(config: SweepConfig) -> dict[tuple[float, float], list[SweepRow]]:
     """The rows of every (gate error, readout error) setting of the config.
 
     A staged sweep solves the asymmetry and runs the prefix once per gate
-    error; every (readout error, swept value) point continues from that
-    prefix's t1 state. An idle sweep takes its noise from the calibration, so
-    it runs once and every setting gets the same rows.
+    error, and pulls the noisy checks back once per (gate error, readout
+    error). Each swept value then runs only its wait, from the prefix's t1
+    state, and every readout error's pulled-back checks score that one t2
+    state. An idle sweep takes its noise from the calibration, so it runs
+    once and every setting gets the same rows.
     """
     gate_errors = list(dict.fromkeys(config.gate_error))
     meas_errors = list(dict.fromkeys(config.meas_error))
@@ -448,13 +462,17 @@ def run_sweep(config: SweepConfig) -> dict[tuple[float, float], list[SweepRow]]:
     for g in gate_errors:
         asym_p = config.asymmetry_p
         if config.asymmetry_ratio is not None:
-            asym_p = solve_asymmetry(spec, config.asymmetry_ratio, g)
+            asym_p = solve_asymmetry(config.asymmetry_ratio, g)
         fids, at_t1 = _run_prefix(spec, asym_p, g, config.swap_decomposition)
-        for m in meas_errors:
-            results[g, m] = [
-                _run_point(spec, config.noise_family, v, g, m, fids, at_t1)
-                for v in config.sweep.values
-            ]
+        check = with_gate_noise(spec.circuit, lambda a, b: g)
+        pulled = {m: pull_back_checks(spec, check, m) for m in meas_errors}
+        rows = {m: [] for m in meas_errors}
+        for v in config.sweep.values:
+            at_t2 = _wait(spec, config.noise_family, v, at_t1)
+            f_before = max(pair_fidelities(spec, at_t2))
+            for m in meas_errors:
+                rows[m].append(_scored_row(v, fids, f_before, pulled[m], at_t2))
+        results.update(((g, m), rows[m]) for m in meas_errors)
     return results
 
 

@@ -316,7 +316,10 @@ def test_physical_states_never_reach_the_eigvalsh_fallback(monkeypatch):
 
 def test_every_derived_state_passes_the_full_check(monkeypatch):
     """States the library derives skip the physicality check; on the staged,
-    idle, twirl and scale paths, each one would still pass it."""
+    idle, twirl and scale paths, each one would still pass it. That includes
+    each staged point's and idle delay's t2 state, which the pulled-back
+    checks score without building a DensityOperator."""
+    from distillery import device, sweep
     from distillery.channels import apply_channel, depolarizing_local
     from distillery.device import IdleSpec, idle_distill_experiment, load_calibration, mirror_twirl_experiment
     from distillery.protocols import build_x2b, build_z2b, build_zx3b, general_distill
@@ -326,14 +329,29 @@ def test_every_derived_state_passes_the_full_check(monkeypatch):
     path = [None]
     unchecked = DensityOperator._derived
 
-    def audited(n_qubits, matrix):
+    def check(n_qubits, matrix):
         _check_density_matrix(matrix, n_qubits)
         # one eigvalsh at n = 10 takes ~1 s; the scale input's spectrum is taken below
         lam = float(np.linalg.eigvalsh(matrix)[0]) if n_qubits <= 8 else None
         audit.setdefault(path[0], []).append((n_qubits, abs(np.trace(matrix) - 1), lam))
+
+    def audited(n_qubits, matrix):
+        check(n_qubits, matrix)
         return unchecked(n_qubits, matrix)
 
+    scored = []  # the path of each t2 state the pulled-back checks scored
+
+    def audited_scoring(score_checks):
+        def score(pulled, rho):
+            check(int(np.log2(len(rho))), rho)
+            scored.append(path[0])
+            return score_checks(pulled, rho)
+
+        return score
+
     monkeypatch.setattr(DensityOperator, "_derived", staticmethod(audited))
+    monkeypatch.setattr(sweep, "score_checks", audited_scoring(sweep.score_checks))
+    monkeypatch.setattr(device, "score_checks", audited_scoring(device.score_checks))
     for family in ("bitflip", "local_depol", "global_depol"):
         path[0] = f"staged zx3b {family}"
         row = run_staged_point(build_zx3b(), family, 0.03, 0.05, gate_error=5e-3, meas_error=1e-2)
@@ -360,10 +378,9 @@ def test_every_derived_state_passes_the_full_check(monkeypatch):
         p_accept, _, fidelity = general_distill(rho, _ladder(n_pairs))
         assert 0.0 < p_accept < 1.0 and 0.0 < fidelity < 1.0
 
-    assert sorted(audit) == sorted(
-        [f"staged zx3b {f}" for f in ("bitflip", "local_depol", "global_depol")]
-        + ["idle x2b", "idle zx3b", "twirl", "scale n=8", "scale n=10"]
-    )
+    staged_paths = [f"staged zx3b {f}" for f in ("bitflip", "local_depol", "global_depol")]
+    assert sorted(audit) == sorted(staged_paths + ["idle x2b", "idle zx3b", "twirl", "scale n=8", "scale n=10"])
+    assert scored == staged_paths + ["idle x2b", "idle zx3b"]
     records = [r for rs in audit.values() for r in rs]
     worst_trace = max(err for _, err, _ in records)
     worst_lam = min(lam for _, _, lam in records if lam is not None)

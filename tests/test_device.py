@@ -7,7 +7,7 @@ import pytest
 from distillery import densop, device
 
 from distillery.channels import channel_superoperator, damping_dephasing, gp_from_t1t2
-from distillery.circuit import Barrier, ChannelOp, Gate, execute_exact, postselect, with_gate_noise
+from distillery.circuit import Barrier, ChannelOp, Gate, execute_exact, with_gate_noise
 from distillery.densop import (
     DensityOperator,
     bell_fidelity_matrix,
@@ -32,7 +32,7 @@ from distillery.device import (
     save_calibration,
     staged_prefix,
 )
-from distillery.protocols import SweepRow, build_z2b, build_zx3b
+from distillery.protocols import SweepRow, build_z2b, build_zx3b, run_checks
 
 
 def coherent_calib(n, zz_rate):
@@ -198,16 +198,22 @@ def test_idle_experiment_fidelities_decay_with_delay():
 
 def test_idle_experiment_scores_each_pair_once_per_delay(monkeypatch):
     spec = build_zx3b()
-    traced = []
+    traced, pull_backs = [], []
     partial_trace_matrix = densop.partial_trace_matrix
     monkeypatch.setattr(
         densop, "partial_trace_matrix", lambda *a: traced.append(a[1]) or partial_trace_matrix(*a)
     )
+    pull_back_checks = device.pull_back_checks
+    monkeypatch.setattr(
+        device, "pull_back_checks", lambda *a: pull_backs.append(a) or pull_back_checks(*a)
+    )
     idle_distill_experiment(
         spec, [3, 4, 5, 6, 7, 8], load_calibration("kyiv_3bell"), [0.0, 50.0], IdleSpec()
     )
-    # per delay: each pair for the row and F_b, then the kept pair for F_a
-    assert traced == 2 * [*map(list, spec.pairs), list(spec.kept_pair)]
+    # per delay: each pair for the row and F_b; F_a comes from the pulled-back
+    # checks, which are built once per run
+    assert traced == 2 * [*map(list, spec.pairs)]
+    assert len(pull_backs) == 1
 
 
 def test_zz_without_echo_degrades_fidelity_far_below_echoed():
@@ -253,8 +259,7 @@ def test_idle_experiment_from_shared_prefix_equals_unsplit_delays(spec, calibrat
         result = execute_exact(circuit, ground_state(spec.n_qubits))
         at_t2 = result.snapshots["t2"].matrix
         fids = tuple(bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs)
-        p_accept, kept = postselect(result, spec.accepts)
-        f_after = bell_fidelity_matrix(kept.matrix, spec.kept_pair, spec.n_qubits)
+        f_after, p_accept = run_checks(spec, at_t2, with_gate_noise(check, edge_err))
         assert row == SweepRow(delay, fids, max(fids), f_after, p_accept)
 
 

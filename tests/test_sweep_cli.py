@@ -4,21 +4,22 @@ from pathlib import Path
 
 import pytest
 
-from distillery import cli, device, protocols, sweep
+from distillery import cli, device, sweep
 from distillery.analytic import global_depol_distill, z2b_local_depol
-from distillery.circuit import Barrier, execute_exact, postselect, with_gate_noise
+from distillery.circuit import Barrier, NothingAcceptedError, execute_exact, postselect, with_gate_noise
 from distillery.densop import bell_fidelity_matrix, ground_state
-from distillery.device import IdleSpec
-from distillery.protocols import SweepRow, get_protocol
+from distillery.device import IdleSpec, staged_prefix
+from distillery.protocols import SweepRow, get_protocol, run_checks
 from distillery.sweep import (
+    ASYMMETRY_TOL,
     CSV_HEADER_COMMENT,
     LOCAL_PAIRS,
     ConfigError,
     SweepGrid,
     build_staged_circuit,
     config_from_dict,
+    config_to_dict,
     load_config,
-    pair_fidelities_at_prep,
     rows_to_csv,
     run_sweep,
     solve_asymmetry,
@@ -196,8 +197,13 @@ def test_csv_shape_and_determinism():
     assert len(lines) == 2 + len(cfg.sweep.values)
 
 
-def unsplit_rows(spec, family, asymmetry_p, values, g, m, decomposition):
-    """Each point as one whole circuit from the ground state, sharing nothing."""
+def unsplit_rows(spec, family, asymmetry_p, values, g, m, decomposition, forward_checks=False):
+    """Each point as one whole circuit from the ground state, sharing nothing.
+
+    The public run_checks scores its t2 snapshot, or with ``forward_checks``
+    the run's own check stage is post-selected.
+    """
+    check = with_gate_noise(spec.circuit, lambda a, b: g)
     rows = []
     for v in values:
         circuit = build_staged_circuit(spec, family, asymmetry_p, v, decomposition)
@@ -206,8 +212,14 @@ def unsplit_rows(spec, family, asymmetry_p, values, g, m, decomposition):
         n = spec.n_qubits
         fids = tuple(bell_fidelity_matrix(at_t0, pair, n) for pair in LOCAL_PAIRS[spec.n_pairs])
         f_before = max(bell_fidelity_matrix(at_t2, pair, n) for pair in spec.pairs)
-        p_accept, kept = postselect(result, spec.accepts)
-        f_after = bell_fidelity_matrix(kept.matrix, spec.kept_pair, n)
+        try:
+            if forward_checks:
+                p_accept, kept = postselect(result, spec.accepts)
+                f_after = bell_fidelity_matrix(kept.matrix, spec.kept_pair, n)
+            else:
+                f_after, p_accept = run_checks(spec, at_t2, check, m)
+        except NothingAcceptedError:
+            f_after, p_accept = None, 0.0
         rows.append(SweepRow(v, fids, f_before, f_after, p_accept))
     return rows
 
@@ -230,7 +242,7 @@ def test_sweep_from_shared_prefix_equals_unsplit_points(tmp_path, decomposition)
     spec = get_protocol("z2b")
     rows = run_sweep(cfg)
     for g in cfg.gate_error:
-        asym_p = solve_asymmetry(spec, 0.975, g)
+        asym_p = solve_asymmetry(0.975, g)
         for m in cfg.meas_error:
             reference = unsplit_rows(spec, "local_depol", asym_p, cfg.sweep.values, g, m, decomposition)
             assert rows[g, m] == reference
@@ -238,15 +250,43 @@ def test_sweep_from_shared_prefix_equals_unsplit_points(tmp_path, decomposition)
             assert text == rows_to_csv(reference, 2)
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_config_rows_equal_whole_circuit_forward_runs(path):
+    """Prefix sharing and the pulled-back checks give every (g, m) row of the
+    whole circuit run forward and post-selected, to 1e-12."""
+    cfg = load_config(path)
+    cfg = config_from_dict({**config_to_dict(cfg), "sweep": {"values": [cfg.sweep.values[0], cfg.sweep.values[-1]]}})
+    spec = get_protocol(cfg.protocol)
+    rows = run_sweep(cfg)
+    assert sorted(rows) == sorted((g, m) for g in cfg.gate_error for m in cfg.meas_error)
+    for (g, m), got in rows.items():
+        asym_p = cfg.asymmetry_p if cfg.asymmetry_ratio is None else solve_asymmetry(cfg.asymmetry_ratio, g)
+        want = unsplit_rows(
+            spec, cfg.noise_family, asym_p, cfg.sweep.values, g, m, cfg.swap_decomposition, forward_checks=True
+        )
+        for a, b in zip(got, want, strict=True):
+            assert a.sweep_value == b.sweep_value
+            assert a.pair_fidelities == b.pair_fidelities and a.f_before == b.f_before
+            assert (a.f_after is None) == (b.f_after is None)
+            if b.f_after is None:
+                assert a.p_accept == 0.0
+            else:
+                assert abs(a.f_after - b.f_after) <= 1e-12
+                assert abs(a.p_accept - b.p_accept) <= 1e-12
+
+
 def test_sweep_runs_bisection_and_prefix_once_per_gate_error(monkeypatch):
-    calls = []
+    calls, pull_backs = [], []
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append((args[0], args[1].n_qubits))
         return execute_exact(*args, **kwargs)
 
+    pull_back_checks = sweep.pull_back_checks
     monkeypatch.setattr(sweep, "execute_exact", counted)
-    monkeypatch.setattr(protocols, "execute_exact", counted)
+    monkeypatch.setattr(
+        sweep, "pull_back_checks", lambda *a: pull_backs.append(a[1:]) or pull_back_checks(*a)
+    )
     cfg = config_from_dict(
         minimal_config(
             asymmetry_ratio=0.975,
@@ -256,12 +296,15 @@ def test_sweep_runs_bisection_and_prefix_once_per_gate_error(monkeypatch):
         )
     )
     run_sweep(cfg)
-    prefixes = [c for c in calls if Barrier("t1") in c]
-    bisection = [c for c in calls if Barrier("t0") in c and Barrier("t1") not in c]
-    # per gate error: 21 bisection steps and one prefix; then a wait and a check per point
+    prefixes = [c for c, _ in calls if Barrier("t1") in c]
+    bisection = [c for c, n in calls if n == 2]
+    # per gate error: the undegraded pair once, 21 bisection steps on the
+    # degraded pair and one prefix; then one wait per swept value
     assert len(prefixes) == 2
-    assert len(bisection) == 2 * 21
-    assert len(calls) == 2 * (21 + 1) + 2 * 2 * 3 * 4
+    assert len(bisection) == 2 * (1 + 21)
+    assert len(calls) == 2 * (1 + 21 + 1) + 2 * 4
+    # the checks are pulled back once per (gate error, readout error)
+    assert [m for _, m in pull_backs] == 2 * [0.0, 0.01, 0.03]
 
 
 def test_idle_sweep_runs_once_for_every_error_setting(tmp_path, monkeypatch):
@@ -285,10 +328,44 @@ def test_idle_sweep_runs_once_for_every_error_setting(tmp_path, monkeypatch):
     assert len(texts) == 1
 
 
+def full_register_prep_fidelities(spec, asymmetry_p, gate_error=0.0):
+    """Per-pair fidelities at the first barrier, from the whole register's prefix."""
+    circuit = staged_prefix(spec.n_pairs, "single_gate", asymmetry_p)
+    cut = with_gate_noise(circuit[: circuit.index(Barrier("t0")) + 1], lambda a, b: gate_error)
+    at_t0 = execute_exact(cut, ground_state(spec.n_qubits)).snapshots["t0"].matrix
+    return tuple(bell_fidelity_matrix(at_t0, pair, spec.n_qubits) for pair in LOCAL_PAIRS[spec.n_pairs])
+
+
+def full_register_asymmetry(spec, target_ratio, gate_error):
+    """solve_asymmetry's bisection on the ratio of the whole register's first two pairs."""
+
+    def ratio_at(p):
+        f1, f2, *_ = full_register_prep_fidelities(spec, p, gate_error)
+        return f1 / f2
+
+    lo, hi = 0.0, 1.0
+    assert ratio_at(hi) <= target_ratio
+    while hi - lo >= ASYMMETRY_TOL:
+        mid = 0.5 * (lo + hi)
+        if ratio_at(mid) > target_ratio:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("protocol", ["z2b", "zx3b"])
+def test_asymmetry_from_the_degraded_pair_equals_the_full_register_bisection(protocol):
+    spec = get_protocol(protocol)
+    for g in (0.0, 0.005, 0.01, 0.05, 0.1):
+        for ratio in (0.975, 0.95, 0.9):
+            assert solve_asymmetry(ratio, g) == full_register_asymmetry(spec, ratio, g)
+
+
 def test_asymmetry_ratio_targeting():
     spec = get_protocol("z2b")
-    p = solve_asymmetry(spec, 0.975, gate_error=0.01)
-    f1, f2 = pair_fidelities_at_prep(spec, p, gate_error=0.01)
+    p = solve_asymmetry(0.975, gate_error=0.01)
+    f1, f2 = full_register_prep_fidelities(spec, p, gate_error=0.01)
     assert f1 / f2 == pytest.approx(0.975, abs=1e-5)
     # circuit noise shifts the naive 1 - p relation; the solver tracks the ratio
     assert p == pytest.approx(1 - 0.975 * (1.0), abs=5e-3)
