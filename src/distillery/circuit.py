@@ -48,6 +48,7 @@ from .densop import (
     cphase_matrix,
     superoperator,
 )
+from .fields import Fields
 
 ZERO_PROB = 1e-14
 
@@ -548,36 +549,6 @@ def _complex_matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, dtype=complex)]
 
 
-def _complex_matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-_FIELD_TYPES = {
-    "an integer": _is_int,
-    "a list of integers": lambda v: isinstance(v, list) and all(_is_int(q) for q in v),
-    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "a string": lambda v: isinstance(v, str),
-    "an object": lambda v: isinstance(v, dict),
-}
-_REQUIRED = object()
-
-
-def _field(data: dict, name: str, expected: str, default=_REQUIRED):
-    """``data[name]`` if it is ``expected``; KeyError if missing and required, ValueError if mistyped."""
-    value = data.get(name)
-    if value is None:
-        if default is _REQUIRED:
-            raise KeyError(name)
-        return default
-    if not _FIELD_TYPES[expected](value):
-        raise ValueError(f"field {name!r}: expected {expected}, got {value!r}")
-    return value
-
-
 def element_to_json(el: CircuitElement) -> dict:
     if isinstance(el, Gate):
         out = {"type": "gate", "name": el.name, "targets": list(el.targets)}
@@ -613,40 +584,22 @@ def element_to_json(el: CircuitElement) -> dict:
 
 
 def element_from_json(data: dict) -> CircuitElement:
-    """One circuit element; a missing or mistyped field raises ValueError naming it."""
-    if not isinstance(data, dict):
-        raise ValueError(f"expected an object, got {data!r}")
-    kind = data.get("type")
-    try:
-        if kind == "gate":
-            targets = tuple(_field(data, "targets", "a list of integers"))
-            return Gate(_field(data, "name", "a string"), targets, _field(data, "angle", "a number", None))
-        if kind == "channel":
-            ch = _field(data, "channel", "an object")
-            targets = tuple(_field(ch, "target_qubits", "a list of integers"))
-            if ch.get("kind") == "global_depolarizing":
-                return ChannelOp(GlobalDepolarizingChannel(targets, _field(ch, "lam", "a number")))
-            raw_ops = ch["kraus_ops"]
-            try:
-                ops = tuple(_complex_matrix_from_json(k) for k in raw_ops)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"field 'kraus_ops': expected a list of matrices of [re, im] pairs, got {raw_ops!r}"
-                ) from None
-            return ChannelOp(KrausChannel(targets, ops))
-        if kind == "delay":
-            qubits = tuple(_field(data, "qubits", "a list of integers"))
-            return Delay(_field(data, "duration", "a number"), qubits)
-        if kind == "measure":
-            basis, label = _field(data, "basis", "a string", "Z"), _field(data, "label", "a string", "")
-            return Measure(_field(data, "qubit", "an integer"), basis, label)
-        if kind == "barrier":
-            return Barrier(_field(data, "label", "a string", ""))
-    except KeyError as err:
-        raise ValueError(f"{kind} element: missing field {err.args[0]!r}") from None
-    except ValueError as err:
-        raise ValueError(f"{kind} element: {err}") from None
-    raise ValueError(f"unknown circuit element type {kind!r}")
+    """One circuit element; a missing or mistyped field raises ValueError naming its path."""
+    f = Fields(data, ValueError)
+    kind = f.string("type", choices=("gate", "channel", "delay", "measure", "barrier"))
+    if kind == "gate":
+        return Gate(f.string("name"), f.integers("targets"), f.number("angle", None))
+    if kind == "channel":
+        ch = f.object("channel")
+        targets = ch.integers("target_qubits")
+        if ch.string("kind", choices=("kraus", "global_depolarizing")) == "global_depolarizing":
+            return ChannelOp(GlobalDepolarizingChannel(targets, ch.number("lam")))
+        return ChannelOp(KrausChannel(targets, ch.complex_matrices("kraus_ops")))
+    if kind == "delay":
+        return Delay(f.number("duration"), f.integers("qubits"))
+    if kind == "measure":
+        return Measure(f.integer("qubit"), f.string("basis", "Z"), f.string("label", ""))
+    return Barrier(f.string("label", ""))
 
 
 def circuit_to_json(circuit: Sequence[CircuitElement]) -> str:
@@ -654,9 +607,13 @@ def circuit_to_json(circuit: Sequence[CircuitElement]) -> str:
 
 
 def circuit_from_json(text: str) -> list[CircuitElement]:
-    data = json.loads(text)
+    return circuit_from_list(json.loads(text))
+
+
+def circuit_from_list(data: list) -> list[CircuitElement]:
+    """The circuit of a parsed JSON document; ValueError naming the element and field."""
     if not isinstance(data, list):
-        raise ValueError("circuit JSON must be a list of elements")
+        raise ValueError(f"circuit: expected a list of elements, got {data!r}")
     elements = []
     for i, d in enumerate(data):
         try:

@@ -11,13 +11,15 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import analytic
-from .circuit import NothingAcceptedError, circuit_from_json, execute_exact, with_gate_noise
-from .densop import DensityOperator, bell_fidelity_matrix, bell_pairs_on, ground_state
-from .device import DD_MODES, CalibrationError, IdleSpec, idle_distill_experiment, load_calibration
+from .circuit import NothingAcceptedError, circuit_from_list, execute_exact, with_gate_noise
+from .densop import DensityOperator, _check_n_qubits, bell_fidelity_matrix, bell_pairs_on, ground_state
+from .device import DD_MODES, IdleSpec, idle_distill_experiment, load_calibration
+from .fields import read_json
 from .protocols import PROTOCOL_NAMES, get_protocol
 from .sweep import (
     ConfigError,
@@ -36,8 +38,11 @@ EXIT_RUNTIME = 3
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as err:
+        raise ConfigError(f"out: cannot write {path}: {err.strerror or err}") from None
 
 
 def _out_path_for(base: str, g: float, m: float, multiple: bool) -> str:
@@ -132,18 +137,21 @@ def _parse_delays(text: str) -> list[float]:
     try:
         if ":" in text:
             start, stop, step = (float(tok) for tok in text.split(":"))
-            if step <= 0:
-                raise ConfigError("delays: step must be positive")
+            if not (all(map(math.isfinite, (start, stop, step))) and step > 0):
+                raise ValueError(text)
             out = []
             v = start
             while v <= stop + 1e-9:
                 out.append(round(v, 9))
                 v += step
             return out
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(text)
+        return values
     except ValueError:
         raise ConfigError(
-            f"delays: expected 'start:stop:step' or comma-separated values, got {text!r}"
+            f"delays: expected 'start:stop:step' (step > 0) or comma-separated values, all finite, got {text!r}"
         ) from None
 
 
@@ -172,15 +180,20 @@ def _parse_pair(text: str, sep: str, option: str) -> tuple[int, int]:
 
 
 def cmd_simulate(args) -> int:
-    circuit = circuit_from_json(Path(args.circuit).read_text())
     n = args.qubits
+    try:
+        _check_n_qubits(n)
+    except ValueError as err:
+        raise ConfigError(f"qubits: {err}") from None
+    for option, value in (("gate-error", args.gate_error), ("meas-error", args.meas_error)):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"{option}: must be in [0, 1], got {value}")
+    circuit = circuit_from_list(read_json(args.circuit, "circuit", ConfigError))
     if args.init_bell_pairs:
         pairs = [_parse_pair(tok, "-", "init-bell-pairs") for tok in args.init_bell_pairs.split(",")]
         init = DensityOperator(n, bell_pairs_on(pairs, n))
     else:
         init = ground_state(n)
-    if not 0.0 <= args.gate_error <= 1.0:
-        raise ValueError(f"gate error must be in [0, 1], got {args.gate_error}")
     circuit = with_gate_noise(circuit, lambda a, b: args.gate_error)
     result = execute_exact(circuit, init, args.meas_error)
     payload = {
@@ -262,7 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CalibrationError, FileNotFoundError, ValueError) as err:
+    except ValueError as err:  # ConfigError and CalibrationError are ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (NothingAcceptedError, RuntimeError) as err:

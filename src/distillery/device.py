@@ -34,6 +34,7 @@ from .circuit import (
     with_gate_noise,
 )
 from .densop import DensityOperator, bell_pairs_on, ground_state
+from .fields import Fields, read_json
 from .protocols import ProtocolSpec, SweepRow, distill, pair_fidelities, pull_back_checks, score_checks
 
 
@@ -109,61 +110,17 @@ def check_chain(calib: DeviceCalibration, chain: Sequence[int]) -> None:
         calib.edge(a, b)
 
 
-def _require(data: dict, key: str, context: str):
-    if not isinstance(data, dict):
-        raise CalibrationError(f"{context}: expected an object, got {data!r}")
-    if key not in data:
-        raise CalibrationError(f"{context}: missing field {key!r}")
-    return data[key]
-
-
-def _entries(data: dict, key: str) -> list:
-    entries = _require(data, key, "calibration")
-    if not isinstance(entries, list):
-        raise CalibrationError(f"{key}: expected a list, got {entries!r}")
-    return entries
-
-
-def _number(data: dict, key: str, context: str, integral: bool = False) -> float | int:
-    """``data[key]`` as a finite float, or with ``integral`` as an int; JSON
-    booleans, strings and fractional ids raise CalibrationError naming the field."""
-    value = _require(data, key, context)
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    try:
-        number = float(value) if is_number else math.nan
-    except OverflowError:  # an integer past the float range
-        number = math.inf
-    if not math.isfinite(number) or (integral and not number.is_integer()):
-        path = key if context == "calibration" else f"{context}.{key}"
-        expected = "an integer" if integral else "a finite number"
-        raise CalibrationError(f"{path}: expected {expected}, got {value!r}")
-    return int(value) if integral else number
-
-
 def calibration_from_dict(data: dict) -> DeviceCalibration:
-    qubits = []
-    for i, q in enumerate(_entries(data, "qubits")):
-        ctx = f"qubits[{i}]"
-        qubits.append(
-            QubitCalibration(
-                id=_number(q, "id", ctx, integral=True),
-                t1=_number(q, "T1", ctx),
-                t2=_number(q, "T2", ctx),
-                meas_error=_number(q, "meas_error", ctx),
-            )
-        )
-    edges = []
-    for i, e in enumerate(_entries(data, "edges")):
-        ctx = f"edges[{i}]"
-        edges.append(
-            EdgeCalibration(
-                q1=_number(e, "q1", ctx, integral=True),
-                q2=_number(e, "q2", ctx, integral=True),
-                zz_rate=_number(e, "zz_rate", ctx),
-                gate_error=_number(e, "gate_error", ctx),
-            )
-        )
-    return DeviceCalibration(tuple(qubits), tuple(edges), _number(data, "meas_delay", "calibration"))
+    f = Fields(data, CalibrationError, root="calibration")
+    qubits = tuple(
+        QubitCalibration(q.integer("id"), q.number("T1"), q.number("T2"), q.number("meas_error"))
+        for q in f.objects("qubits")
+    )
+    edges = tuple(
+        EdgeCalibration(e.integer("q1"), e.integer("q2"), e.number("zz_rate"), e.number("gate_error"))
+        for e in f.objects("edges")
+    )
+    return DeviceCalibration(qubits, edges, f.number("meas_delay"))
 
 
 def calibration_to_dict(calib: DeviceCalibration) -> dict:
@@ -187,12 +144,7 @@ def load_calibration(path: str | Path) -> DeviceCalibration:
         if not path.exists():
             available = sorted(p.stem for p in path.parent.glob("*.json"))
             raise CalibrationError(f"no bundled calibration {name!r}; available: {available}")
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as err:
-            raise CalibrationError(f"{path}: not valid JSON ({err})") from err
-    return calibration_from_dict(data)
+    return calibration_from_dict(read_json(path, "calibration", CalibrationError))
 
 
 def save_calibration(calib: DeviceCalibration, path: str | Path) -> None:

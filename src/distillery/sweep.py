@@ -19,7 +19,6 @@ the gate and readout errors, so it is pulled back once per pair of them
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -47,6 +46,7 @@ from .device import (
     load_calibration,
     staged_prefix,
 )
+from .fields import Fields, read_json
 from .protocols import (
     ProtocolSpec,
     SweepRow,
@@ -77,35 +77,6 @@ class ConfigError(ValueError):
     """A sweep configuration is malformed; the message names the field."""
 
 
-def _convert(kind, value, name: str):
-    """``kind(value)``, or a ConfigError naming the field; ints must be integral."""
-    try:
-        out = kind(value)
-        if isinstance(value, bool) or (kind is int and isinstance(value, float) and out != value):
-            raise ValueError(value)
-        return out
-    except (TypeError, ValueError, OverflowError):
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name}: expected {expected}, got {value!r}") from None
-
-
-def _as_tuple(kind, value, name: str, scalar_ok: bool = False) -> tuple:
-    """A list (or, with ``scalar_ok``, one number) as a tuple of ``kind``."""
-    if scalar_ok and isinstance(value, (int, float)):
-        value = [value]
-    if not isinstance(value, (list, tuple)):
-        expected = "a number or a list of numbers" if scalar_ok else "a list of numbers"
-        raise ConfigError(f"{name}: expected {expected}, got {value!r}")
-    return tuple(_convert(kind, v, name) for v in value)
-
-
-def _as_bool(value, name: str) -> bool:
-    """A JSON boolean, or a ConfigError naming the field (``"false"`` is not false)."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name}: expected true or false, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class SweepGrid:
     values: tuple[float, ...]
@@ -118,20 +89,6 @@ class SweepGrid:
             raise ConfigError("sweep.values: grid must be monotone nondecreasing")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepGrid":
-        if "values" in data:
-            return cls(_as_tuple(float, data["values"], "sweep.values"))
-        try:
-            start = _convert(float, data["start"], "sweep.start")
-            stop = _convert(float, data["stop"], "sweep.stop")
-            num = _convert(int, data["num"], "sweep.num")
-        except KeyError as err:
-            raise ConfigError(f"sweep: missing field {err.args[0]!r}") from None
-        if num < 1:
-            raise ConfigError("sweep.num: must be >= 1")
-        return cls(tuple(np.linspace(start, stop, num)))
-
 
 @dataclass(frozen=True)
 class IdleOptions:
@@ -140,15 +97,6 @@ class IdleOptions:
     calibration: str
     chain: tuple[int, ...]
     model: IdleSpec
-
-
-# how each optional ``idle`` config key is read; IdleSpec supplies the defaults
-_IDLE_MODEL_KEYS = {
-    "n_segments": lambda value, name: _convert(int, value, name),
-    "dd_mode": lambda value, name: str(value),
-    "zz_enabled": _as_bool,
-    "perfect_coherence": _as_bool,
-}
 
 
 @dataclass(frozen=True)
@@ -166,10 +114,6 @@ class SweepConfig:
     idle: IdleOptions | None = None
 
     def __post_init__(self):
-        if self.noise_family not in NOISE_FAMILIES:
-            raise ConfigError(
-                f"noise_family: must be one of {NOISE_FAMILIES}, got {self.noise_family!r}"
-            )
         expected_var = SWEEP_VARIABLES[self.noise_family]
         if self.variable != expected_var:
             raise ConfigError(
@@ -183,17 +127,9 @@ class SweepConfig:
         for name, errors in (("gate_error", self.gate_error), ("meas_error", self.meas_error)):
             if not errors:
                 raise ConfigError(f"{name}: expected at least one value, got []")
-        for g in self.gate_error:
-            if not 0.0 <= g <= 1.0:
-                raise ConfigError(f"gate_error: must be in [0, 1], got {g}")
-        for m in self.meas_error:
-            if not 0.0 <= m <= 1.0:
-                raise ConfigError(f"meas_error: must be in [0, 1], got {m}")
-        if self.swap_decomposition not in ("three_cnots", "single_gate"):
-            raise ConfigError(
-                f"swap_decomposition: must be 'three_cnots' or 'single_gate', "
-                f"got {self.swap_decomposition!r}"
-            )
+            for e in errors:
+                if not 0.0 <= e <= 1.0:
+                    raise ConfigError(f"{name}: must be in [0, 1], got {e}")
         if self.noise_family == "idle" and self.idle is None:
             raise ConfigError("idle: required when noise_family is 'idle'")
         if self.idle is not None:
@@ -209,54 +145,44 @@ class SweepConfig:
 
 
 def config_from_dict(data: dict) -> SweepConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config: expected a JSON object")
-    try:
-        protocol = data["protocol"]
-        family = data["noise_family"]
-        sweep_data = data["sweep"]
-    except KeyError as err:
-        raise ConfigError(f"config: missing field {err.args[0]!r}") from None
-    for name, value in (("protocol", protocol), ("noise_family", family)):
-        if not isinstance(value, str):
-            raise ConfigError(f"{name}: expected a string, got {value!r}")
+    f = Fields(data, ConfigError, root="config")
+    protocol, family = f.string("protocol"), f.string("noise_family", choices=NOISE_FAMILIES)
     try:
         get_protocol(protocol)
     except ValueError as err:
         raise ConfigError(f"protocol: {err}") from None
-    if not isinstance(sweep_data, dict):
-        raise ConfigError("sweep: expected an object with a grid")
-    variable = sweep_data.get("variable", SWEEP_VARIABLES.get(family, "q"))
-    out, ratio = data.get("out"), data.get("asymmetry_ratio")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"out: expected a path string, got {out!r}")
-    idle = None
-    if data.get("idle") is not None:
-        idata = data["idle"]
-        if not isinstance(idata, dict):
-            raise ConfigError(f"idle: expected an object, got {idata!r}")
+    sweep = f.object("sweep")
+    values = sweep.numbers("values", None)
+    if values is None:
+        start, stop, num = sweep.number("start"), sweep.number("stop"), sweep.integer("num")
+        if num < 1:
+            raise ConfigError("sweep.num: must be >= 1")
+        values = tuple(np.linspace(start, stop, num))
+    idle = f.object("idle", None)
+    if idle is not None:
+        calibration, chain = idle.string("calibration"), idle.integers("chain")
+        settings = dict(
+            n_segments=idle.integer("n_segments", IdleSpec.n_segments),
+            dd_mode=idle.string("dd_mode", IdleSpec.dd_mode),
+            zz_enabled=idle.boolean("zz_enabled", IdleSpec.zz_enabled),
+            perfect_coherence=idle.boolean("perfect_coherence", IdleSpec.perfect_coherence),
+        )
         try:
-            calibration = str(idata["calibration"])
-            chain = _as_tuple(int, idata["chain"], "idle.chain")
-        except KeyError as err:
-            raise ConfigError(f"idle: missing field {err.args[0]!r}") from None
-        given = {k: read(idata[k], f"idle.{k}") for k, read in _IDLE_MODEL_KEYS.items() if k in idata}
-        try:
-            model = IdleSpec(**given)
+            model = IdleSpec(**settings)
         except ValueError as err:
             raise ConfigError(f"idle.{err}") from None
         idle = IdleOptions(calibration, chain, model)
     return SweepConfig(
-        protocol=str(protocol),
-        noise_family=str(family),
-        sweep=SweepGrid.from_dict(sweep_data),
-        variable=str(variable),
-        asymmetry_p=_convert(float, data.get("asymmetry_p", 0.0), "asymmetry_p"),
-        asymmetry_ratio=None if ratio is None else _convert(float, ratio, "asymmetry_ratio"),
-        gate_error=_as_tuple(float, data.get("gate_error", 0.0), "gate_error", scalar_ok=True),
-        meas_error=_as_tuple(float, data.get("meas_error", 0.0), "meas_error", scalar_ok=True),
-        swap_decomposition=str(data.get("swap_decomposition", "three_cnots")),
-        out=out,
+        protocol=protocol,
+        noise_family=family,
+        sweep=SweepGrid(values),
+        variable=sweep.string("variable", SWEEP_VARIABLES[family]),
+        asymmetry_p=f.number("asymmetry_p", 0.0),
+        asymmetry_ratio=f.number("asymmetry_ratio", None),
+        gate_error=f.numbers("gate_error", (0.0,), scalar_ok=True),
+        meas_error=f.numbers("meas_error", (0.0,), scalar_ok=True),
+        swap_decomposition=f.string("swap_decomposition", "three_cnots", ("three_cnots", "single_gate")),
+        out=f.string("out", None),
         idle=idle,
     )
 
@@ -297,13 +223,7 @@ def load_idle_calibration(opts: IdleOptions) -> DeviceCalibration:
 
 
 def load_config(path: str | Path) -> SweepConfig:
-    try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config: file not found: {path}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config: not valid JSON ({err})") from None
-    return config_from_dict(data)
+    return config_from_dict(read_json(path, "config", ConfigError))
 
 
 # ---------------------------------------------------------------------------

@@ -524,6 +524,21 @@ def test_cli_simulate_idle_names_the_segment_count(capsys):
     assert "error: n_segments: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delays", ["0:200:nan", "nan:200:25", "0:inf:25", "0:-inf:25", "0,inf", "0,nan"])
+def test_cli_simulate_idle_refuses_non_finite_delays(capsys, delays):
+    assert cli.main(["simulate-idle", *IDLE_RUN[:-1], delays]) == 2
+    assert "error: delays: " in capsys.readouterr().err
+
+
+def test_an_unwritable_output_exits_2_naming_out(tmp_path, capsys):
+    assert cli.main(["enumerate", "z2b", "--out", str(tmp_path)]) == 2
+    assert f"error: out: cannot write {tmp_path}" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(minimal_config(sweep={"values": [0.1]}, out=str(tmp_path))))
+    assert cli.main(["sweep", "--config", str(config)]) == 2
+    assert f"error: out: cannot write {tmp_path}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "path",
     ["qubits[1].id", "qubits[1].T1", "qubits[1].T2", "qubits[1].meas_error", "edges[2].q1",
@@ -601,7 +616,7 @@ def test_cli_simulate_names_missing_circuit_field(tmp_path, capsys, element, fie
         ({"type": "delay", "duration": "1.0", "qubits": [0]}, "duration"),
         (
             {"type": "channel", "channel": {"kind": "kraus", "target_qubits": [0], "kraus_ops": [[1, 0]]}},
-            "kraus_ops",
+            "channel.kraus_ops[0]",
         ),
     ],
 )
@@ -610,7 +625,7 @@ def test_cli_simulate_names_mistyped_circuit_field(tmp_path, capsys, element, fi
     path.write_text(json.dumps([{"type": "gate", "name": "H", "targets": [0]}, element]))
     assert cli.main(["simulate", "--circuit", str(path), "--qubits", "1"]) == 2
     err = capsys.readouterr().err
-    assert "circuit element 1" in err and repr(field) in err
+    assert f"error: circuit element 1: {field}: expected" in err
 
 
 @pytest.mark.parametrize(
@@ -665,6 +680,18 @@ def test_cli_simulate_reports_fidelity(tmp_path, capsys):
     "flag, value", [("--init-bell-pairs", "0_2"), ("--fidelity-pair", "0"), ("--fidelity-pair", "0,x")]
 )
 def test_cli_simulate_names_a_malformed_pair_option(tmp_path, capsys, flag, value):
+    from distillery.circuit import Barrier, circuit_to_json
+
+    path = tmp_path / "idle.json"
+    path.write_text(circuit_to_json([Barrier("t")]))
+    assert cli.main(["simulate", "--circuit", str(path), "--qubits", "4", flag, value]) == 2
+    assert f"error: {flag[2:]}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--qubits", "0"), ("--qubits", "13"), ("--gate-error", "2"), ("--meas-error", "2"), ("--meas-error", "nan")]
+)
+def test_cli_simulate_names_a_numeric_flag_out_of_range(tmp_path, capsys, flag, value):
     from distillery.circuit import Barrier, circuit_to_json
 
     path = tmp_path / "idle.json"
