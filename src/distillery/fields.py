@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-_REQUIRED = object()
+_NO_DEFAULT = object()
 
 
 def _typed(value, kind):
@@ -23,15 +23,15 @@ def _typed(value, kind):
     return value
 
 
-def _number(value) -> float:
+def _finite(value) -> float:
     number = float(_typed(value, (int, float)))  # OverflowError past the float range
     if not math.isfinite(number):
         raise ValueError(value)
     return number
 
 
-def _integer(value) -> int:
-    if not _number(value).is_integer():
+def _integral(value) -> int:
+    if not _finite(value).is_integer():
         raise ValueError(value)
     return int(value)
 
@@ -64,62 +64,62 @@ class Fields:
 
     def _read(self, key: str, default, convert, expected: str):
         value = self.data.get(key)
-        if value is None and default is not _REQUIRED:
+        if value is None and default is not _NO_DEFAULT:
             return default
         if key not in self.data:
             raise self._error(self.name, f"missing field {key!r}")
-        return self._convert(self._path(key), value, convert, expected)
+        return self._parse(self._path(key), value, convert, expected)
 
     def _path(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
-    def _convert(self, path: str, value, convert, expected: str):
+    def _parse(self, path: str, value, convert, expected: str):
         """``convert(value)``, where a type converts a value of that type to itself."""
         try:
             return _typed(value, convert) if isinstance(convert, type) else convert(value)
         except (TypeError, ValueError, OverflowError):
             raise self._error(path, f"expected {expected}, got {value!r}") from None
 
-    def number(self, key: str, default=_REQUIRED) -> float:
-        return self._read(key, default, _number, "a finite number")
+    def number(self, key: str, default=_NO_DEFAULT) -> float:
+        return self._read(key, default, _finite, "a finite number")
 
-    def integer(self, key: str, default=_REQUIRED) -> int:
-        return self._read(key, default, _integer, "an integer")
+    def integer(self, key: str, default=_NO_DEFAULT) -> int:
+        return self._read(key, default, _integral, "an integer")
 
-    def boolean(self, key: str, default=_REQUIRED) -> bool:
+    def boolean(self, key: str, default=_NO_DEFAULT) -> bool:
         return self._read(key, default, bool, "true or false")
 
-    def string(self, key: str, default=_REQUIRED, choices: tuple[str, ...] = ()) -> str:
+    def string(self, key: str, default=_NO_DEFAULT, choices: tuple[str, ...] = ()) -> str:
         if not choices:
             return self._read(key, default, str, "a string")
         # tuple.index raises ValueError for any value not among the choices
         chosen = lambda value: choices[choices.index(value)]
         return self._read(key, default, chosen, "one of " + ", ".join(map(repr, choices)))
 
-    def numbers(self, key: str, default=_REQUIRED, scalar_ok: bool = False) -> tuple[float, ...]:
+    def numbers(self, key: str, default=_NO_DEFAULT, scalar_ok: bool = False) -> tuple[float, ...]:
         """A list of numbers, or with ``scalar_ok`` also one number."""
         if not scalar_ok:
-            return self._read(key, default, _list_of(_number), "a list of finite numbers")
-        read = lambda value: _list_of(_number)(value) if isinstance(value, list) else (_number(value),)
+            return self._read(key, default, _list_of(_finite), "a list of finite numbers")
+        read = lambda value: _list_of(_finite)(value) if isinstance(value, list) else (_finite(value),)
         return self._read(key, default, read, "a finite number or a list of them")
 
     def integers(self, key: str) -> tuple[int, ...]:
-        return self._read(key, _REQUIRED, _list_of(_integer), "a list of integers")
+        return self._read(key, _NO_DEFAULT, _list_of(_integral), "a list of integers")
 
-    def object(self, key: str, default=_REQUIRED) -> Fields:
+    def object(self, key: str, default=_NO_DEFAULT) -> Fields:
         data = self._read(key, default, dict, "an object")
         return data if data is default else Fields(data, self.error, self._path(key))
 
     def objects(self, key: str) -> list[Fields]:
         """A list of objects, each named by its index: ``qubits[1]``."""
-        items = self._read(key, _REQUIRED, list, "a list")
+        items = self._read(key, _NO_DEFAULT, list, "a list")
         return [Fields(item, self.error, f"{self._path(key)}[{i}]") for i, item in enumerate(items)]
 
     def complex_matrices(self, key: str) -> tuple[np.ndarray, ...]:
         """A list of matrices of ``[re, im]`` cells, each named by its index."""
-        items = self._read(key, _REQUIRED, list, "a list")
+        items = self._read(key, _NO_DEFAULT, list, "a list")
         return tuple(
-            self._convert(f"{self._path(key)}[{i}]", m, _complex_matrix, "a matrix of [re, im] pairs")
+            self._parse(f"{self._path(key)}[{i}]", m, _complex_matrix, "a matrix of [re, im] pairs")
             for i, m in enumerate(items)
         )
 
