@@ -142,8 +142,10 @@ def load_calibration(path: str | Path) -> DeviceCalibration:
     if not Path(path).exists():
         name, path = str(path), Path(__file__).parent / "calibrations" / f"{path}.json"
         if not path.exists():
-            available = sorted(p.stem for p in path.parent.glob("*.json"))
-            raise CalibrationError(f"no bundled calibration {name!r}; available: {available}")
+            bundled = sorted(p.stem for p in path.parent.glob("*.json"))
+            raise CalibrationError(
+                f"calibration: no file or bundled calibration named {name!r}; bundled: {bundled}"
+            )
     return calibration_from_dict(read_json(path, "calibration", CalibrationError))
 
 

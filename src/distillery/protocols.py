@@ -30,10 +30,10 @@ from .densop import (
     BELL_VEC,
     DensityOperator,
     UnitaryOp,
-    apply_matrix,
     basis_bits,
     bell_fidelity_matrix,
     bell_pairs_on,
+    embed_on_qubits,
     partial_trace_matrix,
 )
 
@@ -307,6 +307,12 @@ def general_distill(
     even-parity Z subspace |00><00| + |11><11|; the acceptance probability is
     the trace of the projected state and the returned pair state is the
     renormalized reduction, together with its Bell fidelity.
+
+    The projector P is a 0/1 diagonal, so P U rho U^dag P = (P U) rho (P U)^dag:
+    only the 2^(n+1) rows of U at accepted basis states are multiplied, never
+    the full register. They are ordered with the kept pair's two bits first,
+    then one bit per agreeing pair, so their product with ``rho`` is the
+    projected state on n + 1 qubits.
     """
     if rho_ab.n_qubits % 2 != 0:
         raise ValueError("state must have an even number of qubits (n pairs)")
@@ -314,14 +320,16 @@ def general_distill(
     if not 0 <= kept_pair_index < n_pairs:
         raise ValueError(f"kept pair index {kept_pair_index} out of range for {n_pairs} pairs")
     n = rho_ab.n_qubits
-    mat = apply_matrix(rho_ab.matrix, u.matrix, u.target_qubits, n)
-    bits = basis_bits(n)
+    weight = 1 << np.arange(n - 1, -1, -1)  # basis-index weight of each qubit
     others = [i for i in range(n_pairs) if i != kept_pair_index]
-    keep = np.all(bits[:, others] == bits[:, [n_pairs + i for i in others]], axis=1)
-    mat = mat * np.outer(keep, keep)  # the projector is a 0/1 diagonal, so this is exact
-    p_accept = float(np.real(np.trace(mat)))
+    compact = [weight[kept_pair_index], weight[n_pairs + kept_pair_index]]
+    compact += [weight[i] + weight[n_pairs + i] for i in others]  # both halves read one bit
+    accepted = basis_bits(n_pairs + 1) @ np.array(compact)
+    rows = embed_on_qubits(u.matrix, u.target_qubits, n)[accepted]
+    block = rows @ rho_ab.matrix @ rows.conj().T
+    p_accept = float(np.real(np.trace(block)))
     if p_accept <= ZERO_PROB:
         raise NothingAcceptedError("projection onto agreeing outcomes has zero weight")
-    reduced = partial_trace_matrix(mat, [kept_pair_index, n_pairs + kept_pair_index], n) / p_accept
+    reduced = partial_trace_matrix(block, [0, 1], n_pairs + 1) / p_accept
     fid = float(np.real(BELL_VEC.conj() @ reduced @ BELL_VEC))
     return p_accept, DensityOperator._derived(2, reduced), fid

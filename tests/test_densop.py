@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density
+from conftest import ladder_unitary, random_density
 from distillery.densop import (
     CNOT,
     HADAMARD,
@@ -19,7 +19,6 @@ from distillery.densop import (
     _certified_above_floor,
     _check_density_matrix,
     apply_unitary,
-    basis_bits,
     bell_fidelity,
     bell_pairs_on,
     bell_state,
@@ -267,26 +266,13 @@ def test_operations_return_physical_states(seed, n):
     assert abs(np.trace(red.matrix) - 1) < 1e-10
 
 
-def _ladder(n_pairs: int) -> UnitaryOp:
-    """CNOT(i, i+1) down each side of a side-major n-pair register, built as
-    the basis permutation it is (embedding each CNOT costs ~1 s at n = 10)."""
-    n = 2 * n_pairs
-    bits = basis_bits(n).copy()
-    for side in (0, n_pairs):
-        for i in range(n_pairs - 1):
-            bits[:, side + i + 1] ^= bits[:, side + i]
-    u = np.zeros((2**n, 2**n), dtype=complex)
-    u[bits @ (1 << np.arange(n - 1, -1, -1)), np.arange(2**n)] = 1.0
-    return UnitaryOp(u, tuple(range(n)))
-
-
 def test_ladder_permutation_equals_the_cnot_product():
     n = 6
     u = np.eye(2**n, dtype=complex)
     for side in (0, 3):
         for i in range(2):
             u = embed_on_qubits(CNOT, (side + i, side + i + 1), n) @ u
-    np.testing.assert_array_equal(_ladder(3).matrix, u)
+    np.testing.assert_array_equal(ladder_unitary(3).matrix, u)
 
 
 def test_physical_states_never_reach_the_eigvalsh_fallback(monkeypatch):
@@ -310,7 +296,7 @@ def test_physical_states_never_reach_the_eigvalsh_fallback(monkeypatch):
     rho = DensityOperator(n, bell_pairs_on([(i, n_pairs + i) for i in range(n_pairs)], n))
     for i, p in enumerate((0.05, 0.1, 0.15, 0.2)):
         rho = apply_channel(rho, depolarizing_local(p, qubit=n_pairs + i))
-    p_accept, _, fidelity = general_distill(rho, _ladder(n_pairs))
+    p_accept, _, fidelity = general_distill(rho, ladder_unitary(n_pairs))
     assert 0.0 < p_accept < 1.0 and 0.0 < fidelity < 1.0
 
 
@@ -375,7 +361,7 @@ def test_every_derived_state_passes_the_full_check(monkeypatch):
         if n > 8:
             n_qubits, trace_err, _ = audit[path[0]].pop()
             audit[path[0]].append((n_qubits, trace_err, float(np.linalg.eigvalsh(rho.matrix)[0])))
-        p_accept, _, fidelity = general_distill(rho, _ladder(n_pairs))
+        p_accept, _, fidelity = general_distill(rho, ladder_unitary(n_pairs))
         assert 0.0 < p_accept < 1.0 and 0.0 < fidelity < 1.0
 
     staged_paths = [f"staged zx3b {f}" for f in ("bitflip", "local_depol", "global_depol")]

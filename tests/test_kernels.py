@@ -9,7 +9,7 @@ depolarizing must match the kron-then-permute form it replaced bit for bit.
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import random_density, random_unitary
 from distillery import densop
 from distillery.channels import (
     DampingDephasingParams,
@@ -44,12 +44,6 @@ from distillery.protocols import build_x2b, build_z2b, build_zx3b
 
 ATOL = 1e-12
 SIZES = range(1, 9)
-
-
-def random_unitary(rng, k):
-    dim = 2**k
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_isometry_channel(rng, k, n_ops):

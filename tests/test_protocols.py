@@ -1,21 +1,33 @@
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import ladder_unitary, random_density, random_unitary
+from distillery import densop, protocols
 from distillery.analytic import enumerate_accepted, recurrence_bitflip, z2b_local_depol
-from distillery.channels import PauliChannelParams, bit_flip, depolarizing_global, depolarizing_local, pauli_channel
-from distillery.circuit import execute_exact, postselect
+from distillery.channels import (
+    PauliChannelParams,
+    apply_channel_matrix,
+    bit_flip,
+    depolarizing_global,
+    depolarizing_local,
+    pauli_channel,
+)
+from distillery.circuit import Gate, Measure, NothingAcceptedError, execute_exact, postselect
 from distillery.densop import (
     CNOT,
     HADAMARD,
+    PAULI_X,
     UnitaryOp,
     DensityOperator,
+    basis_bits,
     bell_pairs_on,
     embed_on_qubits,
+    ground_state,
     partial_trace_matrix,
     BELL_VEC,
 )
 from distillery.protocols import (
+    ProtocolSpec,
     build_x2b,
     build_z2b,
     build_zx3b,
@@ -56,8 +68,6 @@ def test_x2b_phase_flip_example():
 def test_z2b_rejects_deterministic_bit_flip():
     # an X on one checked half always flips exactly one parity outcome
     spec = build_z2b()
-    from distillery.circuit import NothingAcceptedError
-
     always_x = pauli_channel(PauliChannelParams(0.0, 1.0, 0.0, 0.0), qubit=2)
     with pytest.raises(NothingAcceptedError):
         run_protocol(spec, [always_x])
@@ -177,13 +187,87 @@ def test_general_distill_matches_x2b_after_basis_change(rng):
         noise = [pauli_channel(PauliChannelParams(*probs[i]), spec.noise_qubits[i]) for i in range(2)]
         out = run_protocol(spec, noise)
         init = bell_pairs_on(list(spec.pairs), 4)
-        from distillery.channels import apply_channel_matrix
-
         for ch in noise:
             init = apply_channel_matrix(init, ch, 4)
         p, _, f = general_distill(DensityOperator(4, init), u)
         assert out.p_accept == pytest.approx(p, abs=1e-10)
         assert out.f_after == pytest.approx(f, abs=1e-10)
+
+
+def _projected_reference(rho, u, kept):
+    """The projector form written out: the full U rho U^dag, the 0/1 mask of
+    agreeing outcomes on both sides, then the partial trace onto the kept pair."""
+    n = rho.n_qubits
+    n_pairs = n // 2
+    full = embed_on_qubits(u.matrix, u.target_qubits, n)
+    mat = full @ rho.matrix @ full.conj().T
+    bits = basis_bits(n)
+    others = [i for i in range(n_pairs) if i != kept]
+    keep = np.all(bits[:, others] == bits[:, [n_pairs + i for i in others]], axis=1)
+    mat = mat * np.outer(keep, keep)
+    p_accept = float(np.real(np.trace(mat)))
+    pair = partial_trace_matrix(mat, [kept, n_pairs + kept], n) / p_accept
+    return p_accept, pair, float(np.real(BELL_VEC.conj() @ pair @ BELL_VEC))
+
+
+@pytest.mark.parametrize("n_pairs", [2, 3, 4])
+@pytest.mark.parametrize("register", ["full", "subset"])
+def test_general_distill_matches_the_full_register_projection(n_pairs, register):
+    """Random mixed states and dense unitaries, so coherences between
+    accepted and rejected outcomes would show if they leaked in."""
+    n = 2 * n_pairs
+    rng = np.random.default_rng(1400 + 10 * n_pairs + (register == "subset"))
+    targets = tuple(range(n))
+    if register == "subset":  # three random qubits, listed out of order
+        low, mid, high = sorted(int(q) for q in rng.choice(n, 3, replace=False))
+        targets = (mid, high, low)
+    u = UnitaryOp(random_unitary(rng, len(targets)), targets)
+    rho = random_density(rng, n)
+    for kept in range(n_pairs):
+        p, pair, f = general_distill(rho, u, kept)
+        p_ref, pair_ref, f_ref = _projected_reference(rho, u, kept)
+        assert abs(p - p_ref) <= 1e-12
+        np.testing.assert_allclose(pair.matrix, pair_ref, atol=1e-12, rtol=0)
+        assert abs(f - f_ref) <= 1e-12
+
+
+def test_general_distill_refuses_a_zero_weight_projection():
+    # X on qubit 3 makes pair 1's halves disagree on every basis state
+    with pytest.raises(NothingAcceptedError):
+        general_distill(ground_state(4), UnitaryOp(PAULI_X, (3,)))
+
+
+def _ladder_spec(n_pairs):
+    """The ladder's check as measurements: pair i (i > 0) is kept when its two Z outcomes agree."""
+    circuit = [Gate("CNOT", (side + i, side + i + 1)) for side in (0, n_pairs) for i in range(n_pairs - 1)]
+    for i in range(1, n_pairs):
+        circuit += [Measure(i, "Z", f"a{i}"), Measure(n_pairs + i, "Z", f"b{i}")]
+    return ProtocolSpec(
+        name=f"ladder{n_pairs}",
+        n_pairs=n_pairs,
+        pairs=tuple((i, n_pairs + i) for i in range(n_pairs)),
+        circuit=tuple(circuit),
+        checks=tuple(((f"a{i}",), (f"b{i}",)) for i in range(1, n_pairs)),
+        kept_pair=(0, n_pairs),
+    )
+
+
+def test_general_distill_never_forms_the_full_register_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("apply_matrix called")
+
+    monkeypatch.setattr(densop, "apply_matrix", refuse)
+    monkeypatch.setattr(protocols, "apply_matrix", refuse, raising=False)
+    n_pairs = 4
+    n = 2 * n_pairs
+    params = [PauliChannelParams(1 - p, p / 3, p / 3, p / 3) for p in (0.05, 0.1, 0.15, 0.2)]
+    rho = bell_pairs_on([(i, n_pairs + i) for i in range(n_pairs)], n)
+    for i, prm in enumerate(params):
+        rho = apply_channel_matrix(rho, pauli_channel(prm, n_pairs + i), n)
+    p_accept, _, fidelity = general_distill(DensityOperator(n, rho), ladder_unitary(n_pairs))
+    ref = enumerate_accepted(_ladder_spec(n_pairs), params)
+    assert p_accept == pytest.approx(ref.acceptance_prob, abs=1e-10)
+    assert fidelity == pytest.approx(ref.fidelity_after, abs=1e-10)
 
 
 def test_protocol_registry():
