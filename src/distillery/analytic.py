@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import PauliChannelParams
-from .circuit import Gate, Measure
+from .circuit import Barrier, Delay, Gate, Measure
 from .pauli import PauliString, UnsupportedProtocolError, conjugate_through, multiply_letters
 from .protocols import Outcome, ProtocolSpec, get_protocol
 
@@ -122,7 +122,7 @@ def _measurement_observables(spec: ProtocolSpec) -> dict[str, PauliString]:
         elif isinstance(el, Measure):
             start = PauliString.from_letters({el.qubit: el.basis}, n)
             obs[el.label] = conjugate_through(start, gates_so_far, inverse=True)
-        elif type(el).__name__ in ("Barrier", "Delay"):
+        elif isinstance(el, (Barrier, Delay)):
             continue
         else:
             raise UnsupportedProtocolError(

@@ -112,11 +112,6 @@ def _gate_superoperator(name: str, angle: float | None) -> np.ndarray:
     return superoperator([_gate_matrix(name, angle)])
 
 
-@lru_cache(maxsize=None)
-def _rotation_superoperator(basis: str) -> np.ndarray:
-    return superoperator([BASIS_ROTATIONS[basis]])
-
-
 @dataclass(frozen=True)
 class ChannelOp:
     channel: NoiseChannel
@@ -368,16 +363,6 @@ def _validate_circuit(circuit: Sequence[CircuitElement], n_qubits: int) -> None:
         raise ValueError(f"measurement labels must be distinct, got {labels}")
 
 
-def _dephase(rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """rho with the blocks off-diagonal in ``qubit``'s Z basis set to zero."""
-    t = rho.reshape((2,) * (2 * n)).copy()
-    idx = [slice(None)] * (2 * n)
-    for a in (0, 1):
-        idx[qubit], idx[n + qubit] = a, 1 - a
-        t[tuple(idx)] = 0
-    return t.reshape(rho.shape)
-
-
 def execute_exact(
     circuit: Sequence[CircuitElement],
     init: DensityOperator,
@@ -409,12 +394,7 @@ def execute_exact(
             if el.label:
                 snapshots[el.label] = DensityOperator._derived(n, rho)
         elif isinstance(el, Measure):
-            if BASIS_ROTATIONS[el.basis] is not None:
-                rho = apply_superoperator(rho, _rotation_superoperator(el.basis), (el.qubit,), n)
-            if meas_error > 0.0:
-                flipped = apply_superoperator(rho, _gate_superoperator("X", None), (el.qubit,), n)
-                rho = (1 - meas_error) * rho + meas_error * flipped
-            rho = _dephase(rho, el.qubit, n)
+            rho = apply_superoperator(rho, _measurement_superoperator(el.basis, meas_error), (el.qubit,), n)
             measured.append((el.label, el.qubit))
 
     return ExecutionResult(n, rho, tuple(measured), snapshots)
@@ -460,15 +440,17 @@ def postselect(result: ExecutionResult, rule: AgreementRule) -> tuple[float, Den
 _DEPHASE_DIAGONAL = np.array([1.0, 0.0, 0.0, 1.0])
 
 
+@lru_cache(maxsize=256)
 def _measurement_superoperator(basis: str, meas_error: float) -> np.ndarray:
-    """A measurement as :func:`execute_exact` applies it, as one superoperator on its
-    qubit: the basis rotation, the readout flip, then the dephasing."""
-    sup = np.eye(4, dtype=complex)
-    if BASIS_ROTATIONS[basis] is not None:
-        sup = _rotation_superoperator(basis) @ sup
+    """A measurement as one read-only superoperator on its qubit, which both
+    interpreters apply: the basis rotation, the readout flip, then the dephasing."""
+    rotation = BASIS_ROTATIONS[basis]
+    sup = np.eye(4, dtype=complex) if rotation is None else superoperator([rotation])
     if meas_error > 0.0:
         sup = (1 - meas_error) * sup + meas_error * (_gate_superoperator("X", None) @ sup)
-    return _DEPHASE_DIAGONAL[:, None] * sup
+    sup = _DEPHASE_DIAGONAL[:, None] * sup
+    sup.flags.writeable = False
+    return sup
 
 
 def _depolarizing_superoperator(lam: float, k: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import analytic
 from .circuit import NothingAcceptedError, circuit_from_list, execute_exact, with_gate_noise
 from .densop import DensityOperator, _check_n_qubits, bell_fidelity_matrix, bell_pairs_on, ground_state
-from .device import DD_MODES, IdleSpec, idle_distill_experiment, load_calibration
+from .device import DD_MODES, CalibrationError, IdleSpec, check_chain, idle_distill_experiment, load_calibration
 from .fields import read_json
 from .protocols import PROTOCOL_NAMES, get_protocol
 from .sweep import (
@@ -139,19 +139,20 @@ def _parse_delays(text: str) -> list[float]:
             start, stop, step = (float(tok) for tok in text.split(":"))
             if not (all(map(math.isfinite, (start, stop, step))) and step > 0):
                 raise ValueError(text)
-            out = []
+            values = []
             v = start
             while v <= stop + 1e-9:
-                out.append(round(v, 9))
+                values.append(round(v, 9))
                 v += step
-            return out
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-        if not all(map(math.isfinite, values)):
+        else:
+            values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        if not values or not all(math.isfinite(v) and v >= 0 for v in values):
             raise ValueError(text)
         return values
     except ValueError:
         raise ConfigError(
-            f"delays: expected 'start:stop:step' (step > 0) or comma-separated values, all finite, got {text!r}"
+            "delays: expected 'start:stop:step' (step > 0) or comma-separated values, "
+            f"at least one delay and all finite and >= 0, got {text!r}"
         ) from None
 
 
@@ -159,6 +160,10 @@ def cmd_simulate_idle(args) -> int:
     calib = load_calibration(args.calibration)
     spec = get_protocol(args.protocol)
     chain = _parse_chain(args.chain)
+    try:
+        check_chain(calib, chain)
+    except CalibrationError as err:
+        raise ConfigError(f"chain: {err}") from None
     delays = _parse_delays(args.delays)
     model = IdleSpec(
         n_segments=args.segments,
@@ -171,11 +176,14 @@ def cmd_simulate_idle(args) -> int:
     return EXIT_OK
 
 
-def _parse_pair(text: str, sep: str, option: str) -> tuple[int, int]:
+def _parse_pair(text: str, sep: str, option: str, n_qubits: int) -> tuple[int, int]:
+    """Two distinct register qubits written 'a<sep>b'; ConfigError naming ``option`` otherwise."""
     try:
         a, b = (int(tok) for tok in text.split(sep))
     except ValueError:
         raise ConfigError(f"{option}: expected two qubits as 'a{sep}b', got {text!r}") from None
+    if a == b or not (0 <= a < n_qubits and 0 <= b < n_qubits):
+        raise ConfigError(f"{option}: expected two distinct qubits in 0..{n_qubits - 1}, got {text!r}")
     return a, b
 
 
@@ -188,10 +196,15 @@ def cmd_simulate(args) -> int:
     for option, value in (("gate-error", args.gate_error), ("meas-error", args.meas_error)):
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"{option}: must be in [0, 1], got {value}")
+    pair = _parse_pair(args.fidelity_pair, ",", "fidelity-pair", n) if args.fidelity_pair else None
     circuit = circuit_from_list(read_json(args.circuit, "circuit", ConfigError))
     if args.init_bell_pairs:
-        pairs = [_parse_pair(tok, "-", "init-bell-pairs") for tok in args.init_bell_pairs.split(",")]
-        init = DensityOperator(n, bell_pairs_on(pairs, n))
+        pairs = [_parse_pair(tok, "-", "init-bell-pairs", n) for tok in args.init_bell_pairs.split(",")]
+        try:
+            rho = bell_pairs_on(pairs, n)
+        except ValueError as err:
+            raise ConfigError(f"init-bell-pairs: {err}") from None
+        init = DensityOperator(n, rho)
     else:
         init = ground_state(n)
     circuit = with_gate_noise(circuit, lambda a, b: args.gate_error)
@@ -202,10 +215,8 @@ def cmd_simulate(args) -> int:
             "".join(str(bit) for bit in b.outcomes.values()): b.probability for b in result.branches
         },
     }
-    if args.fidelity_pair:
-        pair = _parse_pair(args.fidelity_pair, ",", "fidelity-pair")
-        state = result.unconditional_state()
-        payload["bell_fidelity"] = bell_fidelity_matrix(state.matrix, pair, n)
+    if pair is not None:
+        payload["bell_fidelity"] = bell_fidelity_matrix(result.matrix, pair, n)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 

@@ -35,7 +35,7 @@ from .circuit import (
 )
 from .densop import DensityOperator, bell_pairs_on, ground_state
 from .fields import Fields, read_json
-from .protocols import ProtocolSpec, SweepRow, distill, pair_fidelities, pull_back_checks, score_checks
+from .protocols import Outcome, ProtocolSpec, SweepRow, distill, pair_fidelities, pull_back_checks, score_checks
 
 
 class CalibrationError(ValueError):
@@ -328,7 +328,7 @@ def idle_distill_experiment(
         at_t2 = execute_exact(idle_stage, at_t1).matrix
         fids = pair_fidelities(spec, at_t2)
         f_after, p_accept = score_checks(pulled, at_t2)
-        rows.append(SweepRow(float(delay), fids, max(fids), f_after, p_accept))
+        rows.append(SweepRow(max(fids), f_after, p_accept, sweep_value=float(delay), pair_fidelities=fids))
     return rows
 
 
@@ -373,16 +373,11 @@ def mirror_clifford_layers(k: int, seed: int | np.random.Generator) -> list[Circ
     return first + second
 
 
-@dataclass(frozen=True)
-class TwirlPoint:
-    k: int
-    f_before: float
-    f_after: float
-    p_accept: float
+@dataclass(frozen=True, kw_only=True)
+class TwirlPoint(Outcome):
+    """One layer count's distillation of the seed-averaged state."""
 
-    @property
-    def ratio(self) -> float:
-        return self.f_after / self.f_before
+    k: int
 
 
 def mirror_twirl_experiment(
@@ -414,5 +409,5 @@ def mirror_twirl_experiment(
             result = execute_exact(layers, init)
             acc += result.unconditional_state().matrix
         out = distill(spec, acc / n_seeds)
-        points.append(TwirlPoint(k, out.f_before, out.f_after, out.p_accept))
+        points.append(TwirlPoint(out.f_before, out.f_after, out.p_accept, k=k))
     return points

@@ -9,7 +9,6 @@ three-pair protocol pairs (0,3), (1,4), (2,5).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -70,33 +69,12 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class Outcome:
-    """One distillation: best input pair fidelity, kept-pair fidelity, acceptance."""
+    """One distillation: best input pair fidelity F_b, kept-pair fidelity F_a, acceptance.
 
-    f_before: float
-    f_after: float
-    p_accept: float
-
-    @property
-    def ratio(self) -> float:
-        return self.f_after / self.f_before
-
-    @property
-    def err_decrease(self) -> float:
-        """Percentage decrease in Bell infidelity; NaN when already perfect."""
-        if self.f_before >= 1.0:
-            return math.nan
-        return 100.0 * (self.f_after - self.f_before) / (1.0 - self.f_before)
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep point: per-pair fidelities at a barrier and the distillation.
-
-    ``f_after`` is None when post-selection accepted nothing.
+    F_a is None when nothing was accepted; so are ``ratio`` and
+    ``err_decrease``, which is None as well when F_b >= 1.
     """
 
-    sweep_value: float
-    pair_fidelities: tuple[float, ...]  # staged: first barrier; idle: end of the wait
     f_before: float
     f_after: float | None
     p_accept: float
@@ -107,9 +85,18 @@ class SweepRow:
 
     @property
     def err_decrease(self) -> float | None:
+        """Percentage decrease in Bell infidelity, 100 (F_a - F_b) / (1 - F_b)."""
         if self.f_after is None or self.f_before >= 1.0:
             return None
         return 100.0 * (self.f_after - self.f_before) / (1.0 - self.f_before)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SweepRow(Outcome):
+    """One sweep point: its swept value, per-pair fidelities at a barrier, and the distillation."""
+
+    sweep_value: float
+    pair_fidelities: tuple[float, ...]  # staged: first barrier; idle: end of the wait
 
 
 def build_z2b() -> ProtocolSpec:
@@ -245,25 +232,6 @@ def score_checks(pulled: np.ndarray, rho: np.ndarray) -> tuple[float, float]:
     return float(np.real(np.vdot(pulled[1], rho))) / p_accept, p_accept
 
 
-def run_checks(
-    spec: ProtocolSpec,
-    rho: np.ndarray,
-    check: Sequence[CircuitElement] | None = None,
-    meas_error: float = 0.0,
-) -> tuple[float, float]:
-    """The kept pair's Bell fidelity after post-selection, and the acceptance.
-
-    ``rho`` gets the full physicality check. The check circuit ``check``
-    (default the spec's perfect circuit), with readout error ``meas_error``,
-    is pulled back (:func:`pull_back_checks`) and scores ``rho``; the result
-    equals running it forward from ``rho`` and post-selecting
-    (:func:`circuit.execute_exact`, :func:`circuit.postselect`) up to
-    round-off. Raises NothingAcceptedError when no outcome passes the checks.
-    """
-    state = DensityOperator(spec.n_qubits, rho)
-    return score_checks(pull_back_checks(spec, check, meas_error), state.matrix)
-
-
 def distill(
     spec: ProtocolSpec,
     rho: np.ndarray,
@@ -272,11 +240,16 @@ def distill(
 ) -> Outcome:
     """One recurrence step from the register state right before the checks.
 
-    F_b is the best Bell fidelity over the spec's pairs; F_a and the
-    acceptance come from :func:`run_checks`, which scores the checks in the
-    Heisenberg picture.
+    ``rho`` (raw) gets the full physicality check. F_b is the best Bell
+    fidelity over the spec's pairs. The check circuit ``check`` (default the
+    spec's perfect circuit), with readout error ``meas_error``, is pulled
+    back (:func:`pull_back_checks`) and scores ``rho``, which equals running
+    it forward and post-selecting up to round-off. Raises
+    NothingAcceptedError when no outcome passes the checks.
     """
-    return Outcome(max(pair_fidelities(spec, rho)), *run_checks(spec, rho, check, meas_error))
+    state = DensityOperator(spec.n_qubits, rho).matrix
+    f_after, p_accept = score_checks(pull_back_checks(spec, check, meas_error), state)
+    return Outcome(max(pair_fidelities(spec, state)), f_after, p_accept)
 
 
 def run_protocol(spec: ProtocolSpec, input_noise: Sequence[NoiseChannel] = ()) -> Outcome:

@@ -285,8 +285,8 @@ def _scored_row(
     try:
         f_after, p_accept = score_checks(pulled, at_t2)
     except NothingAcceptedError:
-        return SweepRow(wait_value, fids, f_before, None, 0.0)
-    return SweepRow(wait_value, fids, f_before, f_after, p_accept)
+        f_after, p_accept = None, 0.0
+    return SweepRow(f_before, f_after, p_accept, sweep_value=wait_value, pair_fidelities=fids)
 
 
 def run_staged_point(
@@ -401,9 +401,7 @@ def run_sweep(config: SweepConfig) -> dict[tuple[float, float], list[SweepRow]]:
 
 
 def _fmt(x: float | None) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return f"{x:.12g}"
+    return "" if x is None else f"{x:.12g}"
 
 
 def rows_to_csv(rows: Sequence[SweepRow], n_pairs: int, idle: bool = False) -> str:

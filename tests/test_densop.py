@@ -380,13 +380,12 @@ def test_every_derived_state_passes_the_full_check(monkeypatch):
 def test_states_entering_the_api_are_still_checked(monkeypatch, tmp_path, capsys):
     from distillery import cli, densop
     from distillery.circuit import Barrier, circuit_to_json
-    from distillery.protocols import build_z2b, distill, run_checks
+    from distillery.protocols import build_z2b, distill
 
-    # distill and run_checks take a raw caller matrix
+    # distill takes a raw caller matrix
     negative = np.diag([1.5, -0.5] + [0.0] * 14).astype(complex)
-    for run in (distill, run_checks):
-        with pytest.raises(PhysicalityError, match="min eigenvalue"):
-            run(build_z2b(), negative)
+    with pytest.raises(PhysicalityError, match="min eigenvalue"):
+        distill(build_z2b(), negative)
     # the CLI's Bell-pair initial state is checked once, and nothing after it
     checks = []
     check = densop._check_density_matrix

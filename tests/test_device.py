@@ -32,7 +32,7 @@ from distillery.device import (
     save_calibration,
     staged_prefix,
 )
-from distillery.protocols import SweepRow, build_z2b, build_zx3b, run_checks
+from distillery.protocols import SweepRow, build_z2b, build_zx3b, distill
 
 
 def coherent_calib(n, zz_rate):
@@ -259,8 +259,8 @@ def test_idle_experiment_from_shared_prefix_equals_unsplit_delays(spec, calibrat
         result = execute_exact(circuit, ground_state(spec.n_qubits))
         at_t2 = result.snapshots["t2"].matrix
         fids = tuple(bell_fidelity_matrix(at_t2, pair, spec.n_qubits) for pair in spec.pairs)
-        f_after, p_accept = run_checks(spec, at_t2, with_gate_noise(check, edge_err))
-        assert row == SweepRow(delay, fids, max(fids), f_after, p_accept)
+        out = distill(spec, at_t2, with_gate_noise(check, edge_err))
+        assert row == SweepRow(max(fids), out.f_after, out.p_accept, sweep_value=delay, pair_fidelities=fids)
 
 
 def test_chain_length_must_match_protocol():

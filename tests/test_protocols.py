@@ -13,6 +13,7 @@ from distillery.channels import (
     pauli_channel,
 )
 from distillery.circuit import Gate, Measure, NothingAcceptedError, execute_exact, postselect
+from distillery.device import TwirlPoint
 from distillery.densop import (
     CNOT,
     HADAMARD,
@@ -35,6 +36,7 @@ from distillery.protocols import (
     get_protocol,
     run_protocol,
 )
+from distillery.sweep import rows_to_csv
 
 
 def z_error(q, qubit):
@@ -282,6 +284,33 @@ def test_outcome_derived_quantities():
     assert out.ratio == pytest.approx(out.f_after / out.f_before, abs=1e-14)
     expected = 100 * (out.f_after - out.f_before) / (1 - out.f_before)
     assert out.err_decrease == pytest.approx(expected, abs=1e-12)
+
+
+RECORDS = {
+    "Outcome": protocols.Outcome,
+    "SweepRow": lambda *fields: protocols.SweepRow(*fields, sweep_value=0.1, pair_fidelities=(0.8, 0.7)),
+    "TwirlPoint": lambda *fields: TwirlPoint(*fields, k=4),
+}
+
+
+@pytest.mark.parametrize("record", sorted(RECORDS))
+@pytest.mark.parametrize(
+    "fields, ratio, err_decrease",
+    [
+        ((0.8, 0.9, 0.5), 0.9 / 0.8, 50.0),
+        ((0.8, None, 0.0), None, None),  # nothing accepted
+        ((1.0, 0.95, 0.5), 0.95, None),  # eps_d undefined at F_b = 1
+    ],
+    ids=["accepted", "nothing-accepted", "perfect-input"],
+)
+def test_every_outcome_record_follows_the_none_rule(record, fields, ratio, err_decrease):
+    out = RECORDS[record](*fields)
+    for got, want in ((out.ratio, ratio), (out.err_decrease, err_decrease)):
+        assert got is None if want is None else got == pytest.approx(want, abs=1e-12)
+    if isinstance(out, protocols.SweepRow):
+        # F_a, p_accept, r and eps_d close the row; a None is an empty cell
+        cells = rows_to_csv([out], 2).splitlines()[-1].split(",")[-4:]
+        assert [c == "" for c in cells] == [fields[1] is None, False, ratio is None, err_decrease is None]
 
 
 def test_protocol_circuits_serialize_to_circuit_json():

@@ -9,7 +9,7 @@ from distillery.analytic import global_depol_distill, z2b_local_depol
 from distillery.circuit import Barrier, NothingAcceptedError, execute_exact, postselect, with_gate_noise
 from distillery.densop import bell_fidelity_matrix, ground_state
 from distillery.device import IdleSpec, staged_prefix
-from distillery.protocols import SweepRow, get_protocol, run_checks
+from distillery.protocols import SweepRow, distill, get_protocol
 from distillery.sweep import (
     ASYMMETRY_TOL,
     CSV_HEADER_COMMENT,
@@ -200,7 +200,7 @@ def test_csv_shape_and_determinism():
 def unsplit_rows(spec, family, asymmetry_p, values, g, m, decomposition, forward_checks=False):
     """Each point as one whole circuit from the ground state, sharing nothing.
 
-    The public run_checks scores its t2 snapshot, or with ``forward_checks``
+    The public distill scores its t2 snapshot, or with ``forward_checks``
     the run's own check stage is post-selected.
     """
     check = with_gate_noise(spec.circuit, lambda a, b: g)
@@ -217,10 +217,11 @@ def unsplit_rows(spec, family, asymmetry_p, values, g, m, decomposition, forward
                 p_accept, kept = postselect(result, spec.accepts)
                 f_after = bell_fidelity_matrix(kept.matrix, spec.kept_pair, n)
             else:
-                f_after, p_accept = run_checks(spec, at_t2, check, m)
+                out = distill(spec, at_t2, check, m)
+                f_after, p_accept = out.f_after, out.p_accept
         except NothingAcceptedError:
             f_after, p_accept = None, 0.0
-        rows.append(SweepRow(v, fids, f_before, f_after, p_accept))
+        rows.append(SweepRow(f_before, f_after, p_accept, sweep_value=v, pair_fidelities=fids))
     return rows
 
 
@@ -530,6 +531,25 @@ def test_cli_simulate_idle_refuses_non_finite_delays(capsys, delays):
     assert "error: delays: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, value, complaint",
+    [
+        ("chain", "0,1,2,99", "qubit 99 not in calibration"),
+        ("delays", "-5,10", "all finite and >= 0, got '-5,10'"),
+        ("delays", "-5:10:5", "all finite and >= 0, got '-5:10:5'"),
+        ("delays", "50:0:25", "at least one delay"),
+        ("delays", ",", "at least one delay"),
+    ],
+)
+def test_cli_simulate_idle_names_a_bad_chain_or_delays(monkeypatch, capsys, option, value, complaint):
+    monkeypatch.setattr(cli, "idle_distill_experiment", lambda *args: pytest.fail("the experiment ran"))
+    flags = dict(zip(IDLE_RUN[::2], IDLE_RUN[1::2])) | {f"--{option}": value}
+    # "--delays=-5,10": a value starting with "-" must be joined to its flag
+    assert cli.main(["simulate-idle", *(f"{flag}={v}" for flag, v in flags.items())]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: ") and complaint in err
+
+
 def test_an_unwritable_output_exits_2_naming_out(tmp_path, capsys):
     assert cli.main(["enumerate", "z2b", "--out", str(tmp_path)]) == 2
     assert f"error: out: cannot write {tmp_path}" in capsys.readouterr().err
@@ -677,11 +697,21 @@ def test_cli_simulate_reports_fidelity(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--init-bell-pairs", "0_2"), ("--fidelity-pair", "0"), ("--fidelity-pair", "0,x")]
+    "flag, value",
+    [
+        ("--init-bell-pairs", "0_2"),
+        ("--init-bell-pairs", "0-1"),  # does not tile 4 qubits
+        ("--init-bell-pairs", "0-4,1-2"),
+        ("--fidelity-pair", "0"),
+        ("--fidelity-pair", "0,x"),
+        ("--fidelity-pair", "0,9"),
+        ("--fidelity-pair", "1,1"),
+    ],
 )
-def test_cli_simulate_names_a_malformed_pair_option(tmp_path, capsys, flag, value):
+def test_cli_simulate_names_a_malformed_pair_option(tmp_path, monkeypatch, capsys, flag, value):
     from distillery.circuit import Barrier, circuit_to_json
 
+    monkeypatch.setattr(cli, "execute_exact", lambda *args: pytest.fail("the circuit ran"))
     path = tmp_path / "idle.json"
     path.write_text(circuit_to_json([Barrier("t")]))
     assert cli.main(["simulate", "--circuit", str(path), "--qubits", "4", flag, value]) == 2
@@ -718,7 +748,7 @@ def test_noiseless_bitflip_sweep_matches_closed_form():
 def test_rejected_rows_emit_empty_cells():
     from distillery.sweep import SweepRow
 
-    row = SweepRow(0.1, (0.9, 0.8), 0.9, None, 0.0)
+    row = SweepRow(0.9, None, 0.0, sweep_value=0.1, pair_fidelities=(0.9, 0.8))
     text = rows_to_csv([row], 2)
     last = text.strip().splitlines()[-1]
     assert last == "0.1,0.9,0.8,0.9,,0,,"
