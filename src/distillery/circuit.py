@@ -14,6 +14,15 @@ Two interpreters walk a circuit, and each handles every element type:
 channel (the Heisenberg picture). Tr(O C(rho)) = Tr(C^dag(O) rho), so an
 observable pulled back once scores any number of input states; that is how
 the distillation checks are scored (:func:`protocols.pull_back_checks`).
+
+Both hold their matrices in the pair layout: the row-major vectorization
+with each qubit's row and column bits adjacent (index bits r0 c0 r1 c1 ...).
+They convert to it on entry and back at labelled barriers and on exit. A
+k-qubit superoperator on adjacent qubits, in either order, is then one
+matmul on the middle axis of an (L, 4^k, R) view, with no transposed copy;
+other targets are transposed, and global depolarizing stays in closed form.
+Each element's superoperator is prepared once per call, so a channel that
+repeats through the circuit (an idle window's segments) is built once.
 """
 
 from __future__ import annotations
@@ -27,12 +36,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .channels import (
-    GlobalDepolarizingChannel,
-    KrausChannel,
-    apply_channel_matrix,
-    apply_global_depolarizing_matrix,
-)
+from .channels import GlobalDepolarizingChannel, KrausChannel
 from .channels import Channel as NoiseChannel
 from .densop import (
     CNOT,
@@ -43,7 +47,6 @@ from .densop import (
     SDG_GATE,
     SWAP,
     DensityOperator,
-    apply_superoperator,
     basis_bits,
     cphase_matrix,
     superoperator,
@@ -82,6 +85,8 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError(f"gate target qubits must be distinct, got {self.targets}")
         if self.name == "CPhase":
             if self.angle is None:
                 raise ValueError("CPhase requires an angle")
@@ -374,30 +379,36 @@ def execute_exact(
     flips with probability ``meas_error``, applied after the basis rotation.
     Delays are timing markers. Nothing may act on a measured qubit except a
     Delay (ValueError otherwise). Zero-probability outcomes are carried as
-    zero blocks, never divided by.
+    zero blocks, never divided by. The state runs in the pair layout (see
+    the module docstring).
     """
     if not 0.0 <= meas_error <= 1.0:
         raise ValueError(f"measurement error must be in [0, 1], got {meas_error}")
     n = init.n_qubits
     _validate_circuit(circuit, n)
 
-    rho = init.matrix
+    x = _to_pairs(init.matrix, n)
     measured: list[tuple[str, int]] = []
     snapshots: dict[str, DensityOperator] = {}
+    steps: dict[int, Callable[[np.ndarray], np.ndarray]] = {}  # id(element) -> its step
 
     for el in circuit:
-        if isinstance(el, Gate):
-            rho = apply_superoperator(rho, _gate_superoperator(el.name, el.angle), el.targets, n)
-        elif isinstance(el, ChannelOp):
-            rho = apply_channel_matrix(rho, el.channel, n)
-        elif isinstance(el, Barrier):
+        if isinstance(el, Barrier):
             if el.label:
-                snapshots[el.label] = DensityOperator._derived(n, rho)
-        elif isinstance(el, Measure):
-            rho = apply_superoperator(rho, _measurement_superoperator(el.basis, meas_error), (el.qubit,), n)
-            measured.append((el.label, el.qubit))
+                snapshots[el.label] = DensityOperator._derived(n, _from_pairs(x, n))
+        elif isinstance(el, Delay):
+            continue
+        elif isinstance(el, ChannelOp) and isinstance(el.channel, GlobalDepolarizingChannel):
+            x = _depolarize(x, el.channel.lam, el.channel.target_qubits, n)
+        else:
+            step = steps.get(id(el))
+            if step is None:
+                step = steps[id(el)] = _contraction(*_element_superoperator(el, meas_error), n)
+            x = step(x)
+            if isinstance(el, Measure):
+                measured.append((el.label, el.qubit))
 
-    return ExecutionResult(n, rho, tuple(measured), snapshots)
+    return ExecutionResult(n, _from_pairs(x, n), tuple(measured), snapshots)
 
 
 AgreementRule = Callable[[Mapping[str, int]], bool]
@@ -460,8 +471,8 @@ def _depolarizing_superoperator(lam: float, k: int) -> np.ndarray:
 
 
 def _element_superoperator(el: CircuitElement, meas_error: float) -> tuple[tuple[int, ...], np.ndarray]:
-    """The map :func:`execute_exact` applies for a gate, a Kraus or a one- or
-    two-qubit depolarizing channel, or a measurement, as (targets, superoperator)."""
+    """The map a gate, a Kraus or a global depolarizing channel, or a measurement
+    applies, as (targets, superoperator on the row-major vectorization over them)."""
     if isinstance(el, Gate):
         return el.targets, _gate_superoperator(el.name, el.angle)
     if isinstance(el, Measure):
@@ -470,6 +481,147 @@ def _element_superoperator(el: CircuitElement, meas_error: float) -> tuple[tuple
     if isinstance(ch, GlobalDepolarizingChannel):
         return ch.target_qubits, _depolarizing_superoperator(ch.lam, len(ch.target_qubits))
     return ch.target_qubits, superoperator(ch.kraus_ops)
+
+
+# ---------------------------------------------------------------------------
+# The pair layout both interpreters run in
+#
+# A stack of matrices (S, 2^n, 2^n) is held as S row-major vectors whose index
+# bits are r0 c0 r1 c1 ... r_{n-1} c_{n-1}: each qubit's row and column bits sit
+# next to each other, so qubit q is one axis of size 4 and a run of adjacent
+# qubits is one contiguous axis. A k-qubit superoperator on adjacent qubits
+# then acts on the middle axis of an (L, 4^k, R) view, with no transposed copy.
+
+
+@lru_cache(maxsize=None)
+def _pair_positions(n_qubits: int) -> np.ndarray:
+    """p with 2 p[r] + p[c] the position of matrix entry (r, c) in the pair layout."""
+    positions = basis_bits(n_qubits) @ (4 ** np.arange(n_qubits - 1, -1, -1))
+    positions.flags.writeable = False
+    return positions
+
+
+def _layout_indices(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(to, back): the ``np.take`` indices that move a flattened matrix into
+    the pair layout, and the (2^n, 2^n) positions of its entries there."""
+    p = _pair_positions(n_qubits)
+    back = 2 * p[:, None] + p
+    to = np.empty(4**n_qubits, dtype=np.intp)
+    to[back.ravel()] = np.arange(4**n_qubits)
+    return to, back
+
+
+# kept for registers of up to 8 qubits (1 MB in all); above that, building them
+# costs little next to the O(4^n) pass that uses them
+_small_layout_indices = lru_cache(maxsize=None)(_layout_indices)
+
+
+def _to_pairs(matrices: np.ndarray, n_qubits: int) -> np.ndarray:
+    """A stack (..., 2^n, 2^n) as (S, 4^n) in the pair layout."""
+    to, _ = (_small_layout_indices if n_qubits <= 8 else _layout_indices)(n_qubits)
+    return np.take(matrices.reshape(-1, 4**n_qubits), to, axis=1)
+
+
+def _from_pairs(x: np.ndarray, n_qubits: int, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """(S, 4^n) in the pair layout back to matrices of ``shape`` (default (2^n, 2^n))."""
+    _, back = (_small_layout_indices if n_qubits <= 8 else _layout_indices)(n_qubits)
+    return np.take(x, back, axis=1).reshape(shape or (2**n_qubits, 2**n_qubits))
+
+
+@lru_cache(maxsize=None)
+def _pair_order(targets: tuple[int, ...]) -> np.ndarray | None:
+    """The entries, in the flattened superoperator row-major over ``targets``,
+    of its pair-layout form over the sorted targets (None: it is already)."""
+    k = len(targets)
+    half = [a for q in sorted(targets) for a in (targets.index(q), k + targets.index(q))]
+    perm = (*half, *(2 * k + a for a in half))
+    if perm == tuple(range(4 * k)):
+        return None
+    index = np.arange(16**k).reshape((2,) * 4 * k).transpose(perm).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
+def _contraction(targets: tuple[int, ...], sup: np.ndarray, n_qubits: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> ``sup`` applied on ``targets`` of each row of x, a stack (S, 4^n) in the pair layout.
+
+    ``sup`` is row-major over ``targets`` in their listed order; its entries
+    are reordered once into the pair layout over the sorted targets, which is
+    exact. Adjacent targets are the middle axis of an (L, 4^k, R) view, with
+    L counted per matrix of the stack: that takes one matmul by sup^T when
+    R = 1, one by kron(sup, I_R)^T when that is 16 x 16 and L > R (one
+    qubit, R = 4), and one small matmul per leading index otherwise.
+    Targets with a gap between them are transposed to the front and back,
+    as :func:`densop.apply_superoperator` does.
+    """
+    k = len(targets)
+    index = _pair_order(targets)
+    s = sup if index is None else sup.take(index).reshape(4**k, 4**k)
+    order = sorted(targets)
+    first = order[0]
+    right = 4 ** (n_qubits - first - k)
+    if order == list(range(first, first + k)):
+        if right == 1 or (4**first > right and 4**k * right == 16):
+            # kron(s, I_R), built by broadcasting
+            op = s if right == 1 else (s[:, None, :, None] * np.eye(right)[:, None]).reshape(16, 16)
+            return lambda x: (x.reshape(-1, len(op)) @ op.T).reshape(x.shape)
+        return lambda x: (s @ x.reshape(-1, 4**k, right)).reshape(x.shape)
+    rest = [q for q in range(n_qubits) if q not in targets]
+    axes = (*(1 + q for q in order), 0, *(1 + q for q in rest))
+    inverse = tuple(int(a) for a in np.argsort(axes))
+
+    def transposed(x: np.ndarray) -> np.ndarray:
+        t = x.reshape((-1,) + (4,) * n_qubits).transpose(axes)
+        return (s @ t.reshape(4**k, -1)).reshape(t.shape).transpose(inverse).reshape(x.shape)
+
+    return transposed
+
+
+@lru_cache(maxsize=None)
+def _depolarizing_view(targets: tuple[int, ...], n_qubits: int) -> tuple[tuple[int, ...], np.ndarray, tuple[int, ...]]:
+    """For sorted ``targets``: the view (S, 4^g0, 4, 4^g1, ..., 4, 4^gk) of a stack
+    in the pair layout, with target j on axis 2 + 2j and the qubits between
+    targets merged; I / 2^k on the target axes of that view (size 1
+    elsewhere); and the shape that puts the reduced state of the other qubits
+    on the remaining axes, so that the two broadcast."""
+    gaps = [int(g) for g in np.diff((-1, *targets, n_qubits)) - 1]
+    view, eye_shape, reduced = [-1, 4 ** gaps[0]], [1, 1], [-1, 4 ** gaps[0]]
+    for g in gaps[1:]:
+        view += [4, 4**g]
+        eye_shape += [4, 1]
+        reduced += [1, 4**g]
+    k = len(targets)
+    eye = np.eye(2**k, dtype=complex) / 2**k
+    eye = eye.reshape((2,) * 2 * k).transpose([a for j in range(k) for a in (j, k + j)])
+    eye = np.ascontiguousarray(eye).reshape(eye_shape)
+    eye.flags.writeable = False
+    return tuple(view), eye, tuple(reduced)
+
+
+def _depolarize(x: np.ndarray, lam: float, targets: Sequence[int], n_qubits: int) -> np.ndarray:
+    """Global depolarizing on ``targets`` of each row of x, in closed form in the pair layout.
+
+    The arithmetic of :func:`channels.apply_global_depolarizing_matrix`
+    entry for entry: each target's entries (0, 0) and (1, 1) are added,
+    highest target first, or the whole diagonal is summed in order of r when
+    the targets are the whole register.
+    """
+    if lam == 0.0:
+        return x
+    targets = tuple(sorted(targets))
+    if len(targets) < n_qubits:
+        view, eye, reduced = _depolarizing_view(targets, n_qubits)
+        t = x.reshape(view)
+        for j in reversed(range(len(targets))):
+            before = (slice(None),) * (2 + 2 * j)
+            t = t[(*before, 0)] + t[(*before, 3)]
+        mixed = (eye * t.reshape(reduced)).reshape(x.shape)
+    else:
+        diagonal = 3 * _pair_positions(n_qubits)  # the entries (r, r), in the order of r
+        trace = x[:, diagonal].sum(axis=-1)
+        mixed = np.zeros_like(x)
+        mixed[:, diagonal] = (trace / 2**n_qubits)[:, None]
+    return (1 - lam) * x + lam * mixed
 
 
 def pull_back(
@@ -490,8 +642,9 @@ def pull_back(
     nothing. Adjacent elements on the same targets (a gate and its noise)
     multiply into one superoperator before it is applied. Depolarizing on
     more than two qubits, whose superoperator has 16^k entries, applies in
-    closed form instead. The circuit is validated as :func:`execute_exact`
-    validates it.
+    closed form instead. The stack runs in the pair layout, as the state of
+    :func:`execute_exact` does. The circuit is validated as
+    :func:`execute_exact` validates it.
     """
     if not 0.0 <= meas_error <= 1.0:
         raise ValueError(f"measurement error must be in [0, 1], got {meas_error}")
@@ -501,6 +654,7 @@ def pull_back(
     # (targets, adjoint superoperator) in the order they apply, or (targets, lam)
     # for a depolarizing channel applied in closed form
     steps: list[tuple[tuple[int, ...], np.ndarray | float]] = []
+    built: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}  # id(element) -> its superoperator
     for el in reversed(circuit):
         if isinstance(el, (Barrier, Delay)):
             continue
@@ -508,19 +662,22 @@ def pull_back(
             if len(el.channel.target_qubits) > 2:
                 steps.append((el.channel.target_qubits, el.channel.lam))
                 continue
-        targets, sup = _element_superoperator(el, meas_error)
+        if id(el) not in built:
+            built[id(el)] = _element_superoperator(el, meas_error)
+        targets, sup = built[id(el)]
         if steps and steps[-1][0] == targets and isinstance(steps[-1][1], np.ndarray):
             steps[-1] = (targets, sup.conj().T @ steps[-1][1])
         else:
             steps.append((targets, sup.conj().T))
 
     obs = np.asarray(observables, dtype=complex)
+    x = _to_pairs(obs, n)
     for targets, step in steps:
         if isinstance(step, np.ndarray):
-            obs = apply_superoperator(obs, step, targets, n)
+            x = _contraction(targets, step, n)(x)
         else:
-            obs = apply_global_depolarizing_matrix(obs, step, targets, n)
-    return obs
+            x = _depolarize(x, step, targets, n)
+    return _from_pairs(x, n, obs.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate_config(args) -> int:
     config = load_config(args.config)
     if config.idle is not None:
-        load_idle_calibration(config.idle)
+        load_idle_calibration(config)
     print(json.dumps(config_to_dict(config), indent=2))
     return EXIT_OK
 
@@ -161,7 +161,7 @@ def cmd_simulate_idle(args) -> int:
     spec = get_protocol(args.protocol)
     chain = _parse_chain(args.chain)
     try:
-        check_chain(calib, chain)
+        check_chain(calib, chain, spec)
     except CalibrationError as err:
         raise ConfigError(f"chain: {err}") from None
     delays = _parse_delays(args.delays)

@@ -22,6 +22,7 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_FLOOR = -1e-9  # eigenvalue floor, absorbs drift through long channel chains
 UNITARY_TOL = 1e-12
+HERMITICITY_BLOCK = 2**14  # entries per row block of the Hermiticity test
 
 # Fixed single- and two-qubit matrices. Two-qubit matrices take their first
 # target as the more significant bit.
@@ -72,6 +73,17 @@ def _certified_above_floor(matrix: np.ndarray) -> bool:
     return True
 
 
+def _hermiticity_deviation(matrix: np.ndarray) -> float:
+    """max |rho - rho^dag|, one block of rows at a time: the temporaries stay
+    at HERMITICITY_BLOCK entries instead of two full-size copies."""
+    dim = len(matrix)
+    rows = max(1, HERMITICITY_BLOCK // dim)
+    return max(
+        float(np.max(np.abs(matrix[i : i + rows] - matrix[:, i : i + rows].conj().T)))
+        for i in range(0, dim, rows)
+    )
+
+
 def _check_density_matrix(matrix: np.ndarray, n_qubits: int) -> None:
     dim = 2**n_qubits
     if matrix.shape != (dim, dim):
@@ -81,7 +93,7 @@ def _check_density_matrix(matrix: np.ndarray, n_qubits: int) -> None:
     if not np.isfinite(matrix).all():
         bad = matrix[~np.isfinite(matrix)][0]
         raise PhysicalityError(f"not finite: the matrix holds the entry {bad}")
-    herm = np.max(np.abs(matrix - matrix.conj().T))
+    herm = _hermiticity_deviation(matrix)
     if herm > HERMITICITY_TOL:
         raise PhysicalityError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
     tr = np.trace(matrix)

@@ -101,9 +101,15 @@ class DeviceCalibration:
         raise CalibrationError(f"edge ({a}, {b}) not in calibration")
 
 
-def check_chain(calib: DeviceCalibration, chain: Sequence[int]) -> None:
-    """CalibrationError unless every qubit of ``chain`` and every edge between
-    neighbours in it is in ``calib``, as the idle experiment needs."""
+def check_chain(calib: DeviceCalibration, chain: Sequence[int], spec: ProtocolSpec) -> None:
+    """CalibrationError unless ``chain`` holds one distinct qubit per register
+    qubit of ``spec`` and every qubit and every edge between neighbours in it
+    is in ``calib``, as the idle experiment needs."""
+    if len(chain) != spec.n_qubits:
+        raise CalibrationError(f"{spec.name} needs {spec.n_qubits} qubits, got {len(chain)}")
+    for i, qid in enumerate(chain):
+        if qid in chain[:i]:
+            raise CalibrationError(f"qubit {qid} repeats")
     for qid in chain:
         calib.qubit(qid)
     for a, b in zip(chain, chain[1:]):
@@ -305,8 +311,7 @@ def idle_distill_experiment(
     end of the idle window.
     """
     chain = list(chain)
-    if len(chain) != spec.n_qubits:
-        raise ValueError(f"chain length {len(chain)} does not match {spec.n_qubits}-qubit protocol")
+    check_chain(calib, chain, spec)
     edge_err = lambda a, b: calib.edge(chain[a], chain[b]).gate_error
     meas_err = lambda pos: calib.qubit(chain[pos]).meas_error
 

@@ -132,12 +132,6 @@ class SweepConfig:
                     raise ConfigError(f"{name}: must be in [0, 1], got {e}")
         if self.noise_family == "idle" and self.idle is None:
             raise ConfigError("idle: required when noise_family is 'idle'")
-        if self.idle is not None:
-            n_qubits = get_protocol(self.protocol).n_qubits
-            if len(self.idle.chain) != n_qubits:
-                raise ConfigError(
-                    f"idle.chain: {self.protocol} needs {n_qubits} qubits, got {list(self.idle.chain)}"
-                )
         what, lo, hi = SWEEP_RANGES[self.noise_family]
         for v in self.sweep.values:
             if not (math.isfinite(v) and lo <= v <= hi):
@@ -208,15 +202,17 @@ def config_to_dict(cfg: SweepConfig) -> dict:
     return out
 
 
-def load_idle_calibration(opts: IdleOptions) -> DeviceCalibration:
-    """The idle sweep's calibration; ConfigError naming ``idle.calibration`` when
-    it cannot be loaded, or ``idle.chain`` when the chain is not in it."""
+def load_idle_calibration(config: SweepConfig) -> DeviceCalibration:
+    """An idle sweep's calibration; ConfigError naming ``idle.calibration`` when
+    it cannot be loaded, or ``idle.chain`` when the chain does not fit the
+    protocol or is not in the calibration."""
+    opts = config.idle
     try:
         calib = load_calibration(opts.calibration)
     except CalibrationError as err:
         raise ConfigError(f"idle.calibration: {err}") from None
     try:
-        check_chain(calib, opts.chain)
+        check_chain(calib, opts.chain, get_protocol(config.protocol))
     except CalibrationError as err:
         raise ConfigError(f"idle.chain: {err}") from None
     return calib
@@ -367,13 +363,12 @@ def run_sweep(config: SweepConfig) -> dict[tuple[float, float], list[SweepRow]]:
     gate_errors = list(dict.fromkeys(config.gate_error))
     meas_errors = list(dict.fromkeys(config.meas_error))
     if config.noise_family == "idle":
-        opts = config.idle
         rows = idle_distill_experiment(
             get_protocol(config.protocol),
-            opts.chain,
-            load_idle_calibration(opts),
+            config.idle.chain,
+            load_idle_calibration(config),
             config.sweep.values,
-            opts.model,
+            config.idle.model,
             config.swap_decomposition,
         )
         return {(g, m): rows for g in gate_errors for m in meas_errors}

@@ -127,6 +127,11 @@ def test_qubit_range_validated():
         execute_exact([Gate("H", (4,))], ground(2))
 
 
+def test_gate_targets_must_be_distinct():
+    with pytest.raises(ValueError, match="distinct"):
+        Gate("CNOT", (1, 1))
+
+
 def _random_clifford_circuit(rng, n, depth):
     names = ["H", "S", "Sdg", "CNOT"]
     gates = []

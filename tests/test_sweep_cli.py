@@ -142,6 +142,17 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, command, ov
     assert f"error: {field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "chain, complaint", [([0, 1, 1, 2], "qubit 1 repeats"), ([0, 1, 2], "z2b needs 4 qubits, got 3")]
+)
+@pytest.mark.parametrize("command", ["validate-config", "sweep"])
+def test_a_bad_idle_chain_exits_2_naming_the_problem(tmp_path, capsys, command, chain, complaint):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(minimal_config(**IDLE_SWEEP, idle={"calibration": "kyiv_z2b", "chain": chain})))
+    assert cli.main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: idle.chain: {complaint}\n"
+
+
 def test_shipped_configs_all_validate():
     for path in sorted(CONFIGS.glob("*.json")):
         cfg = load_config(path)
@@ -535,6 +546,8 @@ def test_cli_simulate_idle_refuses_non_finite_delays(capsys, delays):
     "option, value, complaint",
     [
         ("chain", "0,1,2,99", "qubit 99 not in calibration"),
+        ("chain", "0,1,1,2", "qubit 1 repeats"),
+        ("chain", "0,1,2", "z2b needs 4 qubits, got 3"),
         ("delays", "-5,10", "all finite and >= 0, got '-5,10'"),
         ("delays", "-5:10:5", "all finite and >= 0, got '-5:10:5'"),
         ("delays", "50:0:25", "at least one delay"),
